@@ -21,6 +21,12 @@ consequences:
   a design-space exploration sweeping ``designs`` trains once per
   (app, bits, budget, seed) and only re-runs constrain/evaluate/energy.
 
+The synthesised dataset is cached the same way, once per (app, n_train,
+n_test, seed), at ``<cache_dir>/dataset-<key>/dataset.npz`` (see
+:meth:`Pipeline.dataset_cache_path`), so a sweep synthesises each
+distinct dataset once.  An unreadable entry of
+any kind is a cache miss: the stage recomputes and overwrites it.
+
 All cache writes go through a temp file plus an atomic ``os.replace``,
 and a concurrent worker having already produced an entry is harmless
 (the deterministic stages produce identical bytes), so many processes —
@@ -42,6 +48,7 @@ from repro.asm.alphabet import standard_set
 from repro.pipeline.config import STAGE_NAMES, PipelineConfig
 from repro.pipeline.report import STAGE_ATTRS, PipelineReport
 from repro.pipeline.stages import (
+    CACHE_READ_ERRORS,
     STAGE_FUNCTIONS,
     ConstrainResult,
     PipelineContext,
@@ -201,11 +208,21 @@ class Pipeline:
 
     def stage_key(self, stage: str, plan: tuple[str, ...]) -> str:
         """Content hash of everything *stage*'s result depends on."""
-        canon = json.dumps(
-            {"format": _CACHE_FORMAT, "stage": stage,
-             "deps": self._stage_deps(stage, plan)},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return _content_key(stage, self._stage_deps(stage, plan))
+
+    def dataset_cache_path(self) -> str | None:
+        """Cache entry of the synthesised dataset (``None`` when caching
+        is off), keyed by exactly what synthesis depends on — every
+        candidate of a sweep sharing (app, n_train, n_test, seed) shares
+        it."""
+        if self.cache_root is None:
+            return None
+        tier = self.config.tier()
+        key = _content_key("dataset", {
+            "app": self.config.app, "n_train": tier.n_train,
+            "n_test": tier.n_test, "seed": self.config.seed})
+        return os.path.join(self.cache_root, f"dataset-{key[:16]}",
+                            "dataset.npz")
 
     def stage_cache_dir(self, stage: str,
                         plan: tuple[str, ...]) -> str | None:
@@ -241,37 +258,47 @@ class Pipeline:
 
     def _try_load_cached(self, stage: str, stage_dir: str | None, key: str,
                          ctx: PipelineContext):
-        """Load *stage* from the cache, or return ``None`` on any miss."""
+        """Load *stage* from the cache, or return ``None`` on any miss.
+
+        An unreadable entry is a miss too — a malformed envelope, a
+        payload that does not rebuild the result, truncated or missing
+        weight states — so the stage recomputes and overwrites it.
+        """
         if stage_dir is None:
             return None
         path = self._stage_json(stage_dir, stage)
         try:
             with open(path) as handle:
                 envelope = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except CACHE_READ_ERRORS:
             return None
-        if (envelope.get("format") != _CACHE_FORMAT
+        if (not isinstance(envelope, dict)
+                or envelope.get("format") != _CACHE_FORMAT
                 or envelope.get("key") != key
                 or envelope.get("stage") != stage):
             return None
-        states = self._state_files(stage, stage_dir, ctx,
-                                   payload=envelope["result"])
-        if not all(os.path.exists(p) for p in states.values()):
+        try:
+            payload = envelope["result"]
+            result = result_from_payload(stage, payload)
+            states = {label: load_state(state_path, ctx.model)
+                      for label, state_path in self._state_files(
+                          stage, stage_dir, ctx, payload=payload).items()}
+            outcomes = result.outcomes \
+                if isinstance(result, ConstrainResult) else ()
+            chosen_sets = {
+                outcome.design: standard_set(outcome.chosen_alphabets)
+                for outcome in outcomes
+                if outcome.chosen_alphabets is not None}
+        except CACHE_READ_ERRORS + (TypeError,):
             return None
-        result = result_from_payload(stage, envelope["result"])
         if stage == "export" and not os.path.isdir(result.path):
             return None  # artifact bundle was deleted; re-export
         # rebuild the context exactly as a live run would have left it
         if stage == "train":
-            ctx.train_state = load_state(states["train"], ctx.model)
+            ctx.train_state = states["train"]
         elif stage == "constrain":
-            assert isinstance(result, ConstrainResult)
-            for outcome in result.outcomes:
-                ctx.design_states[outcome.design] = load_state(
-                    states[outcome.design], ctx.model)
-                if outcome.chosen_alphabets is not None:
-                    ctx.chosen_sets[outcome.design] = standard_set(
-                        outcome.chosen_alphabets)
+            ctx.design_states.update(states)
+            ctx.chosen_sets.update(chosen_sets)
         return result
 
     def _write_cache(self, stage: str, stage_dir: str | None, key: str,
@@ -328,6 +355,7 @@ class Pipeline:
         """
         ctx = context if context is not None \
             else PipelineContext(self.config)
+        ctx.dataset_path = self.dataset_cache_path()
         plan = self.plan(stages)
         cached: list[str] = []
         with obs.span("pipeline.run", app=self.config.app,
@@ -376,6 +404,14 @@ class Pipeline:
                     f"stage {stage!r} failed: {error}") from error
             self._write_cache(stage, stage_dir, key, ctx, result)
         ctx.results[stage] = result
+
+
+def _content_key(stage: str, deps: dict) -> str:
+    """SHA-256 of a cache entry's name and everything it depends on."""
+    canon = json.dumps(
+        {"format": _CACHE_FORMAT, "stage": stage, "deps": deps},
+        sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _design_tag(design: str) -> str:

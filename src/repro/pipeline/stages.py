@@ -16,12 +16,14 @@ tables bit-identical to their pre-pipeline output.
 from __future__ import annotations
 
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.asm.alphabet import AlphabetSet, standard_set
+from repro.datasets.base import Dataset
 from repro.datasets.registry import BENCHMARKS, build_model, load_dataset, \
     training_arrays
 from repro.hardware.engine import ProcessingEngine
@@ -41,8 +43,13 @@ __all__ = [
     "EnergyDesignRow", "EnergyResult",
     "ExportResult", "ServeCheckResult",
     "STAGE_FUNCTIONS", "result_from_payload",
-    "save_state", "load_state",
+    "save_state", "load_state", "CACHE_READ_ERRORS",
 ]
+
+#: what reading a damaged cache file raises (missing or truncated file,
+#: bad zip CRC, absent member, inconsistent arrays) — always a cache miss
+CACHE_READ_ERRORS = (OSError, ValueError, KeyError, EOFError,
+                     zipfile.BadZipFile)
 
 
 class StageError(RuntimeError):
@@ -206,7 +213,10 @@ class PipelineContext:
         self.tier = config.tier()
         self.settings = config.train_settings()
         self.bits = config.word_bits()
-        self._dataset = None
+        #: stage-cache entry of the dataset (``None``: always synthesise);
+        #: set by :meth:`Pipeline.run` from the pipeline's cache root
+        self.dataset_path: str | None = None
+        self._dataset: Dataset | None = None
         self._model = None
         #: restore point after unconstrained training (Algorithm 2 step 2)
         self.train_state: list | None = None
@@ -222,11 +232,30 @@ class PipelineContext:
 
     # ------------------------------------------------------------------
     @property
-    def dataset(self):
+    def dataset(self) -> Dataset:
+        """The run's dataset: loaded from :attr:`dataset_path` when that
+        entry exists, else synthesised (and stored there)."""
         if self._dataset is None:
-            self._dataset = load_dataset(
-                self.config.app, n_train=self.tier.n_train,
-                n_test=self.tier.n_test, seed=self.config.seed)
+            with obs.span("pipeline.dataset",
+                          app=self.config.app) as dataset_span:
+                path = self.dataset_path
+                dataset = _load_dataset(path) if path else None
+                cached = dataset is not None
+                dataset_span.set(cached=cached)
+                if obs.enabled():
+                    if cached:
+                        obs.registry().counter("pipeline.cache.hits",
+                                               stage="dataset").inc()
+                    else:
+                        obs.registry().counter("pipeline.cache.misses",
+                                               stage="dataset").inc()
+                if not cached:
+                    dataset = load_dataset(
+                        self.config.app, n_train=self.tier.n_train,
+                        n_test=self.tier.n_test, seed=self.config.seed)
+                    if path:
+                        _save_dataset(path, dataset)
+            self._dataset = dataset
         return self._dataset
 
     @property
@@ -669,21 +698,26 @@ def result_from_payload(stage: str, payload: dict):
     raise ValueError(f"unknown stage {stage!r}")
 
 
-def save_state(path: str, state: list) -> None:
-    """Persist a ``Sequential.state()`` weight snapshot as ``.npz``.
+def _savez_atomic(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """Write *arrays* to *path* as ``.npz`` via a temp file + rename.
 
-    Atomic (temp file + rename): concurrent pipeline workers may race to
-    produce the same cache entry, and since the stages are deterministic
-    both writers produce identical bytes — last rename wins, readers
-    never see a partial file.
+    Concurrent pipeline workers may race to produce the same cache
+    entry, and since the stages are deterministic both writers produce
+    identical bytes — last rename wins, readers never see a partial file.
     """
     tmp = f"{path}.{os.getpid()}.tmp.npz"
+    np.savez(tmp, **arrays)
+    os.replace(tmp, path)
+
+
+def save_state(path: str, state: list) -> None:
+    """Persist a ``Sequential.state()`` weight snapshot as ``.npz``
+    (atomically, see :func:`_savez_atomic`)."""
     arrays = {}
     for index, layer_state in enumerate(state):
         for key, value in layer_state.items():
             arrays[f"{index}:{key}"] = value
-    np.savez(tmp, **arrays)
-    os.replace(tmp, path)
+    _savez_atomic(path, arrays)
 
 
 def load_state(path: str, model) -> list:
@@ -693,3 +727,27 @@ def load_state(path: str, model) -> list:
         return [{key: data[f"{index}:{key}"]
                  for key in layer_state}
                 for index, layer_state in enumerate(template)]
+
+
+def _save_dataset(path: str, dataset: Dataset) -> None:
+    """Persist a synthesised dataset as one ``.npz`` (bit-exact)."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    _savez_atomic(path, {
+        "name": np.array(dataset.name),
+        "n_classes": np.array(dataset.n_classes),
+        "x_train": dataset.x_train, "y_train": dataset.y_train,
+        "x_test": dataset.x_test, "y_test": dataset.y_test,
+    })
+
+
+def _load_dataset(path: str) -> Dataset | None:
+    """The dataset written by :func:`_save_dataset`, or ``None`` when
+    *path* is missing or unreadable (a miss: the caller resynthesises)."""
+    try:
+        with np.load(path) as data:
+            return Dataset(
+                name=str(data["name"]), n_classes=int(data["n_classes"]),
+                x_train=data["x_train"], y_train=data["y_train"],
+                x_test=data["x_test"], y_test=data["y_test"])
+    except CACHE_READ_ERRORS:
+        return None

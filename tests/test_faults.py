@@ -437,6 +437,9 @@ class TestHardenedExecutor:
     def test_timeout_then_retry_succeeds(self, tmp_path):
         space = tiny_space(designs=("conventional",))
         (config,) = space.grid(str(tmp_path / "cache"))
+        # warm the stage cache so the clean retry is all cache hits and
+        # finishes well inside the 1s deadline even on a slow host
+        Pipeline(config).run()
         journal = ExplorationJournal.open(str(tmp_path / "journal"),
                                           space)
         # first attempt stalls 30s; the 1s deadline kills it, the retry

@@ -406,6 +406,31 @@ class TestTracedPipeline:
                 if row["name"] == "pipeline.cache.hits"}
         assert hits == {stage: 1.0 for stage in executed}
 
+    def test_dataset_span_and_cache_counters(self, tmp_path):
+        config = PipelineConfig(
+            app="face", designs=("asm1",), stages=("train",),
+            budget=TINY_BUDGET, seed=0, cache_dir=str(tmp_path / "cache"))
+
+        def traced_run(name, resume):
+            obs.reset()
+            path = str(tmp_path / name)
+            obs.enable(path)
+            Pipeline(config).run(resume=resume)
+            obs.disable()
+            trace = obs_stats.load_trace(path)
+            spans = [event for event in trace.events
+                     if event["name"] == "pipeline.dataset"]
+            counts = {row["name"]: row["value"] for row in trace.metrics
+                      if row["name"].startswith("pipeline.cache.")
+                      and row["labels"]["stage"] == "dataset"}
+            return [span["args"]["cached"] for span in spans], counts
+
+        assert traced_run("cold.jsonl", resume=True) == \
+            ([False], {"pipeline.cache.misses": 1.0})
+        # retraining without resume still finds the dataset entry
+        assert traced_run("retrain.jsonl", resume=False) == \
+            ([True], {"pipeline.cache.hits": 1.0})
+
     def test_disabled_run_records_nothing(self, tmp_path):
         config = PipelineConfig(
             app="face", designs=("asm1",),

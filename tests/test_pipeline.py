@@ -4,6 +4,7 @@ the unified CLI."""
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -238,6 +239,158 @@ class TestCachingResume:
         full = Pipeline(config).run()   # default plan includes quantize
         assert "evaluate" not in full.cached_stages
         assert full.evaluate.row_for("asm1").loss is not None
+
+
+def _count_syntheses(monkeypatch) -> list:
+    """Count calls to the dataset generator the pipeline context uses."""
+    from repro.pipeline import stages
+
+    calls = []
+    original = stages.load_dataset
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stages, "load_dataset", counting)
+    return calls
+
+
+class TestDatasetCache:
+    """The synthesised dataset is a content-keyed stage-cache entry."""
+
+    @pytest.mark.parametrize("app", ["mnist_mlp", "mnist_cnn", "face",
+                                     "svhn", "tich"])
+    def test_round_trip_is_bit_exact(self, app, tmp_path, monkeypatch):
+        from repro.datasets.registry import load_dataset
+        from repro.pipeline.stages import PipelineContext
+
+        calls = _count_syntheses(monkeypatch)
+        config = tiny_config(app=app, budget={**TINY, "n_train": 40,
+                                              "n_test": 12})
+        path = Pipeline(config, cache_dir=str(tmp_path)).dataset_cache_path()
+        writer = PipelineContext(config)
+        writer.dataset_path = path
+        writer.dataset                                   # miss: writes
+        reader = PipelineContext(config)
+        reader.dataset_path = path
+        loaded = reader.dataset                          # hit: loads
+        assert len(calls) == 1
+        fresh = load_dataset(app, n_train=40, n_test=12, seed=0)
+        for field in ("x_train", "y_train", "x_test", "y_test"):
+            a, b = getattr(loaded, field), getattr(fresh, field)
+            assert a.tobytes() == b.tobytes(), field
+            assert a.dtype == b.dtype, field
+            assert a.shape == b.shape, field
+        assert loaded.name == fresh.name
+        assert loaded.n_classes == fresh.n_classes
+
+    def test_sweep_synthesises_each_dataset_once(self, tmp_path,
+                                                 monkeypatch):
+        from repro.explore import SearchSpace, run_exploration
+
+        calls = _count_syntheses(monkeypatch)
+        space = SearchSpace(app="face", designs=("conventional", "asm1",
+                                                 "asm2"),
+                            budgets=(TINY,), seeds=(0, 1))
+        journal = str(tmp_path / "journal")
+        run_exploration(space, journal, jobs=1)
+        assert len(calls) == 2
+        entries = [name for name in os.listdir(
+            os.path.join(journal, "cache")) if name.startswith("dataset-")]
+        assert len(entries) == 2
+
+    def test_no_cache_dir_writes_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = _count_syntheses(monkeypatch)
+        config = tiny_config(stages=("train", "quantize"))
+        Pipeline(config).run()
+        Pipeline(config).run()
+        assert len(calls) == 2
+        assert os.listdir(tmp_path) == []
+
+    def test_explicit_cache_dir_override_is_used(self, tmp_path):
+        config = tiny_config(stages=("train",))
+        assert config.cache_dir is None
+        Pipeline(config, cache_dir=str(tmp_path)).run()
+        assert any(name.startswith("dataset-")
+                   for name in os.listdir(tmp_path))
+
+    def test_passed_context_uses_pipeline_cache_root(self, tmp_path,
+                                                     monkeypatch):
+        """The sensitivity strategy hands Pipeline.run its own context."""
+        from repro.pipeline.stages import PipelineContext
+
+        calls = _count_syntheses(monkeypatch)
+        config = tiny_config(stages=("train",), cache_dir=str(tmp_path))
+        for _ in range(2):
+            ctx = PipelineContext(config)
+            Pipeline(config).run(context=ctx)
+            ctx.dataset              # probed after a (cached) train stage
+        assert len(calls) == 1
+
+
+class TestCorruptCacheRecovery:
+    """An unreadable cache entry is a miss: recompute and overwrite."""
+
+    STAGES = ("train", "quantize")
+
+    def _cold_then(self, tmp_path, corrupt):
+        config = tiny_config(stages=self.STAGES,
+                             cache_dir=str(tmp_path / "cache"))
+        pipeline = Pipeline(config)
+        cold = pipeline.run()
+        corrupt(pipeline.stage_cache_dir("train", self.STAGES))
+        recovered = Pipeline(config).run()
+        warm = Pipeline(config).run()
+        assert recovered.to_dict()["stages"] == cold.to_dict()["stages"]
+        assert warm.cached_stages == warm.stages_run
+        return recovered
+
+    @staticmethod
+    def _rewrite_envelope(stage_dir, change):
+        path = os.path.join(stage_dir, "train.json")
+        with open(path) as handle:
+            envelope = json.load(handle)
+        with open(path, "w") as handle:
+            json.dump(change(envelope), handle)
+
+    @staticmethod
+    def _truncate(path):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[:len(data) // 2])
+
+    def test_non_object_envelope(self, tmp_path):
+        recovered = self._cold_then(tmp_path, lambda d: self._rewrite_envelope(
+            d, lambda envelope: []))
+        assert "train" not in recovered.cached_stages
+
+    def test_envelope_with_unbuildable_result(self, tmp_path):
+        recovered = self._cold_then(tmp_path, lambda d: self._rewrite_envelope(
+            d, lambda envelope: {**envelope, "result": {}}))
+        assert "train" not in recovered.cached_stages
+
+    def test_truncated_weight_state(self, tmp_path):
+        recovered = self._cold_then(tmp_path, lambda d: self._truncate(
+            os.path.join(d, "train-state.npz")))
+        assert "train" not in recovered.cached_stages
+
+    def test_truncated_dataset_entry(self, tmp_path, monkeypatch):
+        calls = _count_syntheses(monkeypatch)
+
+        def corrupt(_train_dir):
+            (entry,) = [name for name in os.listdir(tmp_path / "cache")
+                        if name.startswith("dataset-")]
+            self._truncate(tmp_path / "cache" / entry / "dataset.npz")
+            # drop the cached stages too, so the dataset is needed again
+            for name in os.listdir(tmp_path / "cache"):
+                if not name.startswith("dataset-"):
+                    shutil.rmtree(tmp_path / "cache" / name)
+
+        self._cold_then(tmp_path, corrupt)
+        assert len(calls) == 2             # cold run + the recovery
 
 
 class TestLegacyEquivalence:
