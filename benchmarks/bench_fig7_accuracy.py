@@ -7,8 +7,11 @@ conventional baselines, and accuracy degrades (weakly) as alphabets shrink.
 
 from conftest import TINY, emit
 
-from repro.experiments.accuracy import format_accuracy_table, run_accuracy_grid
-from repro.experiments.config import ACCURACY_APPS
+from repro.experiments.accuracy import (
+    ACCURACY_APPS,
+    format_accuracy_table,
+    run_accuracy_grid,
+)
 
 
 def test_fig7_accuracy_all_apps(benchmark):

@@ -2,7 +2,7 @@
 
 Training-backed benches run a *tiny* budget so the whole suite finishes in
 minutes; the printed tables are the same rows the paper reports (regenerate
-the paper-scale numbers with ``python -m repro.experiments.runner --full``).
+the paper-scale numbers with ``repro experiment <name> --full``).
 Each bench writes its table to ``results/`` and prints it, so running with
 ``pytest benchmarks/ --benchmark-only -s`` shows every reproduced row.
 """
@@ -14,7 +14,7 @@ import socket
 import pytest
 
 import repro
-from repro.experiments.config import Budget
+from repro.pipeline.config import Budget
 
 #: Budget used by training-backed benches.
 TINY = Budget("tiny", n_train=400, n_test=200, max_epochs=5,

@@ -68,7 +68,7 @@ Subpackages
     Shared utilities (JSON serialization of result objects).
 """
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = ["__version__", "PipelineConfig", "Pipeline", "PipelineReport",
            "run_pipeline", "SearchSpace", "ExplorationReport",

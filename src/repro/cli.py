@@ -16,9 +16,8 @@ One console entry point for the whole flow::
 ``repro run`` executes :class:`~repro.pipeline.config.PipelineConfig`
 files (JSON or TOML) and prints the reports; ``repro explore`` walks a
 :class:`~repro.explore.space.SearchSpace` on a worker pool and reduces
-it to Pareto frontiers; ``repro experiment`` subsumes the legacy
-``python -m repro.experiments.runner``; ``repro serve`` subsumes
-``repro-serve`` (both remain as deprecation shims for one release).
+it to Pareto frontiers; ``repro experiment`` reproduces the paper's
+tables and figures; ``repro serve`` runs the HTTP inference server.
 """
 
 from __future__ import annotations
@@ -97,11 +96,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 config = config.with_overrides(cache_dir=args.cache_dir)
             if args.backend is not None:
                 config = config.with_overrides(backend=args.backend)
-            if args.sim_backend is not None:
-                config = config.with_overrides(sim_backend=args.sim_backend)
-            if args.train_backend is not None:
-                config = config.with_overrides(
-                    train_backend=args.train_backend)
             if seeds is not None:
                 configs.extend(config.with_overrides(seed=seed)
                                for seed in seeds)
@@ -162,17 +156,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     tracing = _start_trace(args.trace)
     try:
         space = SearchSpace.load(args.space)
-        if args.backend is not None or args.sim_backend is not None \
-                or args.train_backend is not None:
-            from dataclasses import replace
-            overrides = {}
-            if args.backend is not None:
-                overrides["backend"] = args.backend
-            if args.sim_backend is not None:
-                overrides["sim_backend"] = args.sim_backend
-            if args.train_backend is not None:
-                overrides["train_backend"] = args.train_backend
-            space = replace(space, **overrides)
         journal_dir = args.journal if args.journal is not None else \
             os.path.join(DEFAULT_EXPLORE_DIR, space.name)
         report = run_exploration(space, journal_dir,
@@ -494,18 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stage cache root (overrides config.cache_dir)")
     run.add_argument("--backend", default=None,
                      choices=("reference", "fast", "auto"),
-                     help="compute-kernel backend for evaluation "
+                     help="kernel backend for every kernel family "
                           "(bit-identical; overrides config.backend)")
-    run.add_argument("--sim-backend", default=None,
-                     choices=("reference", "fast", "auto"),
-                     help="simulation-kernel backend for the cycle-"
-                          "accurate toggle simulator (bit-identical; "
-                          "overrides config.sim_backend)")
-    run.add_argument("--train-backend", default=None,
-                     choices=("reference", "fast", "auto"),
-                     help="training-kernel backend for the float "
-                          "training loops (bit-identical; overrides "
-                          "config.train_backend)")
     run.add_argument("--no-resume", action="store_true",
                      help="ignore cached stage results")
     run.add_argument("--full", action="store_true",
@@ -553,22 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--cache-dir", default=None,
                          help="pipeline stage cache shared by the workers "
                               "(default: <journal>/cache)")
-    explore.add_argument("--backend", default=None,
-                         choices=("reference", "fast", "auto"),
-                         help="compute-kernel backend for candidate "
-                              "evaluation (bit-identical; overrides "
-                              "space.backend)")
-    explore.add_argument("--sim-backend", default=None,
-                         choices=("reference", "fast", "auto"),
-                         help="simulation-kernel backend for the "
-                              "candidates' toggle simulator "
-                              "(bit-identical; overrides "
-                              "space.sim_backend)")
-    explore.add_argument("--train-backend", default=None,
-                         choices=("reference", "fast", "auto"),
-                         help="training-kernel backend the candidates "
-                              "retrain with (bit-identical; overrides "
-                              "space.train_backend)")
     explore.add_argument("--no-resume", action="store_true",
                          help="ignore the journal and stage cache")
     explore.add_argument("--max-retries", type=int, default=2,
@@ -630,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="serve exported artifacts over HTTP "
-                      "(same flags as repro-serve)")
+                      "(see `repro serve --help`)")
     serve.add_argument("args", nargs=argparse.REMAINDER,
                        help="arguments passed to the serving front end")
     serve.set_defaults(func=_cmd_serve)

@@ -2,23 +2,16 @@
 
 See DESIGN.md §5 for the experiment index.  Run everything with::
 
-    python -m repro.experiments.runner --experiment all
+    repro experiment all
 """
 
 from repro.experiments.accuracy import (
+    ACCURACY_APPS,
     AccuracyGrid,
     AccuracyRow,
     format_accuracy_table,
     run_accuracy_grid,
     run_figure7,
-)
-from repro.experiments.config import (
-    ACCURACY_APPS,
-    FULL,
-    QUICK,
-    Budget,
-    TrainSettings,
-    budget,
 )
 from repro.experiments.energy import (
     FIGURE9_GROUPS,
@@ -42,9 +35,6 @@ from repro.experiments.power_area import (
     run_figure10,
     run_hardware_grid,
 )
-# NOTE: repro.experiments.runner is intentionally not imported here so that
-# `python -m repro.experiments.runner` does not trigger the runpy
-# double-import warning; import it directly where needed.
 from repro.experiments.tables import (
     format_table1,
     format_table4,
@@ -53,6 +43,7 @@ from repro.experiments.tables import (
     table4_rows,
     table5_rows,
 )
+from repro.pipeline.config import FULL, QUICK, Budget, TrainSettings, budget
 
 __all__ = [
     "AccuracyGrid", "AccuracyRow", "format_accuracy_table",

@@ -19,12 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asm.alphabet import standard_set
-from repro.experiments.config import Budget
 from repro.hardware.report import format_table
 from repro.pipeline import Pipeline, PipelineConfig
+from repro.pipeline.config import Budget
 
-__all__ = ["AccuracyRow", "AccuracyGrid", "run_accuracy_grid",
-           "run_figure7", "format_accuracy_table"]
+__all__ = ["ACCURACY_APPS", "AccuracyRow", "AccuracyGrid",
+           "run_accuracy_grid", "run_figure7", "format_accuracy_table"]
+
+#: Benchmarks appearing in Fig. 7 (all five applications).
+ACCURACY_APPS = ("mnist_mlp", "mnist_cnn", "face", "svhn", "tich")
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,6 @@ def run_figure7(full: bool = False, seed: int = 0,
                 ) -> dict[str, AccuracyGrid]:
     """Fig. 7: the accuracy grid for every application at its Table IV
     word width, normalised rows included via :class:`AccuracyGrid`."""
-    from repro.experiments.config import ACCURACY_APPS
     grids = {}
     for app in (apps or ACCURACY_APPS):
         grids[app] = run_accuracy_grid(app, full=full, seed=seed)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.experiments.config import Budget
 from repro.hardware.report import format_table
 from repro.pipeline import Pipeline, PipelineConfig
+from repro.pipeline.config import Budget
 
 __all__ = ["ExportReport", "run_export", "format_export_table"]
 

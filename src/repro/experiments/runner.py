@@ -1,7 +1,4 @@
-"""Legacy experiment runner (deprecated entry point).
-
-``python -m repro.experiments.runner`` still works but is superseded by
-the unified ``repro`` CLI::
+"""Experiment registry behind ``repro experiment``::
 
     repro experiment all            # quick tier
     repro experiment fig7 --full    # paper tier
@@ -15,15 +12,13 @@ bit-identical scores), producing a bundle that ``repro serve`` can serve.
 Every training experiment is a thin formatter over
 :mod:`repro.pipeline` reports.
 
-Each experiment prints its table(s) and, when ``--json`` is given, appends a
+Each experiment prints its table(s) and, when ``--json`` is given, writes a
 machine-readable record to ``results/<experiment>.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 
 from repro.experiments.accuracy import (
     format_accuracy_table,
@@ -41,7 +36,7 @@ from repro.experiments.power_area import (
 from repro.experiments.tables import format_table1, format_table4, format_table5
 from repro.utils.serialization import write_json
 
-__all__ = ["EXPERIMENTS", "run_experiment", "execute", "main"]
+__all__ = ["EXPERIMENTS", "run_experiment", "execute"]
 
 
 def run_experiment(name: str, full: bool = False,
@@ -92,7 +87,7 @@ def run_experiment(name: str, full: bool = False,
     if name == "export":
         report = run_export(full=full, seed=seed)
         return format_export_table(report), report
-    raise ValueError(f"unknown experiment {name!r}; see --list")
+    raise ValueError(f"unknown experiment {name!r}; see `repro list`")
 
 
 EXPERIMENTS = ("table1", "table2", "table3", "table4", "table5",
@@ -126,36 +121,3 @@ def execute(names: tuple[str, ...], full: bool = False, seed: int = 0,
                               payload)
             print(f"[wrote {path}]")
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Reproduce tables/figures of the MAN paper "
-                    "(deprecated; use `repro experiment`)")
-    parser.add_argument("--experiment", "-e", default="all",
-                        help="experiment id or 'all'")
-    parser.add_argument("--full", action="store_true",
-                        help="paper-scale training budgets")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true",
-                        help="write results/<experiment>.json")
-    parser.add_argument("--list", action="store_true",
-                        help="list experiment ids and exit")
-    args = parser.parse_args(argv)
-
-    print("note: `python -m repro.experiments.runner` is deprecated; "
-          "use `repro experiment <name>` (see `repro --help`)",
-          file=sys.stderr)
-
-    if args.list:
-        for name in EXPERIMENTS:
-            print(name)
-        return 0
-
-    names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    return execute(names, full=args.full, seed=args.seed,
-                   write_results=args.json)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

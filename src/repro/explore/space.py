@@ -11,7 +11,9 @@ exactly, and has a content digest (which keys the exploration journal).
 Every *candidate* the space enumerates is an ordinary
 :class:`PipelineConfig` carrying exactly one design token, so candidate
 evaluation is just :func:`~repro.pipeline.pipeline.run_pipeline` — the
-explorer adds no second execution path.
+explorer adds no second execution path.  Candidates run on the
+config's default kernel backend (``auto``); backends are bit-identical,
+so a space has no backend axis.
 """
 
 from __future__ import annotations
@@ -64,17 +66,6 @@ class SearchSpace:
     sensitivity_counts: tuple[int, ...] = (1,)
     objectives: tuple[str, ...] = ("accuracy", "energy_per_mac_fj",
                                    "area_um2", "latency_us")
-    #: kernel backend every candidate evaluates on (bit-identical across
-    #: backends — "auto" runs sweeps on the fast BLAS path)
-    backend: str = "auto"
-    #: simulation-kernel backend for the candidates' toggle simulator
-    #: (bit-identical across backends — "auto" runs sweeps on the
-    #: vectorised counting path)
-    sim_backend: str = "auto"
-    #: training-kernel backend every candidate retrains with
-    #: (bit-identical across backends — "auto" runs sweeps on the
-    #: planned training path)
-    train_backend: str = "auto"
     #: test samples each candidate traces through the cycle-accurate
     #: simulator (0 = analytic energy only; see PipelineConfig)
     sim_samples: int = 0
@@ -156,8 +147,6 @@ class SearchSpace:
             app=self.app, bits=bits, designs=(design,), stages=stages,
             budget=budget, seed=seed, quality=quality,
             constraint_mode=constraint_mode, cache_dir=cache_dir,
-            backend=self.backend, sim_backend=self.sim_backend,
-            train_backend=self.train_backend,
             sim_samples=self.sim_samples,
             fault_rates=self.fault_rates, fault_kind=self.fault_kind,
             fault_seed=self.fault_seed)
@@ -236,9 +225,6 @@ class SearchSpace:
             "max_candidates": self.max_candidates,
             "sensitivity_counts": list(self.sensitivity_counts),
             "objectives": list(self.objectives),
-            "backend": self.backend,
-            "sim_backend": self.sim_backend,
-            "train_backend": self.train_backend,
             "sim_samples": self.sim_samples,
             "fault_rates": list(self.fault_rates),
             "fault_kind": self.fault_kind,

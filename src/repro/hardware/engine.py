@@ -144,7 +144,7 @@ class ProcessingEngine:
                  tech: TechnologyModel = IBM45,
                  clock_ghz: float | None = None,
                  config: NeuronConfig | None = None,
-                 sim_backend: str = "auto") -> None:
+                 backend: str = "auto") -> None:
         self.bits = bits
         self.tech = tech
         self.config = config or NeuronConfig()
@@ -154,7 +154,7 @@ class ProcessingEngine:
         self.units = self.config.share_units
         #: simulation-kernel backend handed to :meth:`simulator` engines
         #: (bit-identical traces across backends; a speed knob only)
-        self.sim_backend = sim_backend
+        self.backend = backend
         self._design_cache: dict[object, object] = {}
         self._simulator_cache: dict[object, object] = {}
 
@@ -184,7 +184,7 @@ class ProcessingEngine:
         """A cycle-accurate twin of this engine (memoized per design).
 
         Shares the engine's word width, lane count, technology model and
-        ``sim_backend``; *alphabet_set* defaults to the engine's own
+        kernel ``backend``; *alphabet_set* defaults to the engine's own
         (pass ``None`` explicitly for the conventional design).  The
         toggle-level simulator exposes the data dependence the analytic
         :meth:`run` averages away — the pipeline's energy stage uses it
@@ -198,7 +198,7 @@ class ProcessingEngine:
         if key not in self._simulator_cache:
             self._simulator_cache[key] = CycleAccurateEngine(
                 self.bits, alphabet_set, units=self.units, tech=self.tech,
-                backend=self.sim_backend)
+                backend=self.backend)
         return self._simulator_cache[key]
 
     # ------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """RPR002 — cache-key completeness for :class:`PipelineConfig`.
 
-The stage cache (PR 3) keys every stage on a hash of *only the config
-fields that stage's result depends on*, and PR 4 deliberately excluded
-``backend`` / ``eval_batch_size`` (and PR 5 ``sim_backend``) because
-backends are bit-identical.  That audit was done by hand; this rule
-makes it mechanical, in three checks:
+The stage cache keys every stage on a hash of *only the config fields
+that stage's result depends on*, and deliberately excludes ``backend``
+/ ``eval_batch_size`` because backends are bit-identical and batching
+does not change results.  That audit was done by hand; this rule makes
+it mechanical, in three checks:
 
 1. **Round-trip coverage** — every dataclass field of ``PipelineConfig``
    (or a subclass) must appear as a literal key in its ``to_dict()``.
@@ -104,12 +104,11 @@ class CacheKeyRule(Rule):
         # content — see PipelineConfig.digest)
         "digest_exclusions": ["cache_dir"],
         # fields deliberately absent from every stage-key slice:
-        # backends are bit-identical (PR 4/5), eval_batch_size is a
-        # memory knob, cache_dir is location, and the stage list enters
-        # each key structurally (stage name + executed plan)
+        # backends are bit-identical, eval_batch_size is a memory knob,
+        # cache_dir is location, and the stage list enters each key
+        # structurally (stage name + executed plan)
         "stage_key_exclusions": [
-            "backend", "sim_backend", "train_backend", "eval_batch_size",
-            "cache_dir", "stages",
+            "backend", "eval_batch_size", "cache_dir", "stages",
         ],
         # accessor methods _stage_deps uses instead of raw fields
         "aliases": {

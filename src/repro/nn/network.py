@@ -35,7 +35,7 @@ class Sequential:
         # the training-kernel backend (repro.kernels); "reference" is
         # the historical per-layer loop, so direct users see byte-for-
         # byte the old behaviour until they (or PipelineConfig's
-        # train_backend knob) opt into the planned fast path — which is
+        # backend knob) opt into the planned fast path — which is
         # bit-identical anyway.
         self._train_kernel: KernelBackend = get_backend("reference")
 
@@ -44,13 +44,9 @@ class Sequential:
     # ------------------------------------------------------------------
     @property
     def train_kernel(self) -> KernelBackend:
-        """The resolved training-kernel backend instance."""
+        """The resolved training-kernel backend instance (its ``name``
+        is the registry name)."""
         return self._train_kernel
-
-    @property
-    def train_backend(self) -> str:
-        """Registry name of the active training-kernel backend."""
-        return self._train_kernel.name
 
     def set_train_backend(self, name: str | KernelBackend) -> None:
         """Select the training kernels ("reference" | "fast" | "auto").

@@ -82,7 +82,7 @@ class Trainer:
             sample_counter=registry.counter("train.samples"))
         # one dispatch record per epoch: per-batch timing would dwarf
         # the work being measured
-        obs.record_kernel(self.network.train_backend, "train_step",
+        obs.record_kernel(self.network.train_kernel.name, "train_step",
                           time.perf_counter() - started, calls=batches)
         return mean_loss
 

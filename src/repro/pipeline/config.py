@@ -29,9 +29,8 @@ Design tokens
     Algorithm 2's quality ladder: escalate through ``ladder`` counts until
     accuracy ``K >= J * quality``.
 
-This module is also the canonical home of the training *budget tiers*
-(``quick`` / ``full``) and the per-benchmark optimiser settings; the
-legacy :mod:`repro.experiments.config` re-exports them.
+This module is also the home of the training *budget tiers*
+(``quick`` / ``full``) and the per-benchmark optimiser settings.
 """
 
 from __future__ import annotations
@@ -87,6 +86,8 @@ class TrainSettings:
     patience: int = 3
 
 
+#: The deep tanh MLPs (SVHN, TICH) need a gentler rate than the 2-layer
+#: sigmoid nets; retraining scales the rate down per Algorithm 2.
 TRAIN_SETTINGS: dict[str, TrainSettings] = {
     "mnist_mlp": TrainSettings(learning_rate=0.3),
     "mnist_cnn": TrainSettings(learning_rate=0.1, batch_size=16),
@@ -169,25 +170,17 @@ class PipelineConfig:
     export_dir: str = os.path.join("results", "artifacts")
     serve_name: str | None = None      # registry name; default: app
     cache_dir: str | None = None       # stage cache root; None -> no cache
-    #: compute-kernel backend for every evaluate-style forward pass
-    #: (``repro.kernels``: "reference" | "fast" | "auto").  All backends
-    #: are bit-identical, so this is a speed knob, not a results knob —
+    #: kernel backend (``repro.kernels``: "reference" | "fast" | "auto")
+    #: for every kernel family the run uses: forward/evaluate, constraint
+    #: projection, training and the toggle simulator.  All backends are
+    #: bit-identical, so this is a speed knob, not a results knob —
     #: which is also why it is excluded from the stage cache keys.
     backend: str = "auto"
     #: evaluation batch size (memory knob; results are independent of it)
     eval_batch_size: int = DEFAULT_EVAL_BATCH
-    #: simulation-kernel backend for the cycle-accurate toggle simulator
-    #: (same registry and the same bit-identity guarantee as ``backend``,
-    #: so it too is excluded from the stage cache keys)
-    sim_backend: str = "auto"
-    #: training-kernel backend for every float training loop (train /
-    #: constrain stages and explore candidates).  Same registry and the
-    #: same bit-identity guarantee as ``backend``/``sim_backend``, so it
-    #: too is excluded from the stage cache keys.
-    train_backend: str = "auto"
     #: test samples the energy stage traces through the cycle-accurate
     #: simulator for data-dependent toggle energy (0 = analytic model
-    #: only).  Unlike the backends this **changes the energy result**,
+    #: only).  Unlike the backend this **changes the energy result**,
     #: so it is part of the energy stage's cache key.
     sim_samples: int = 0
     #: fault rates the ``faults`` stage sweeps (empty = stage refuses to
@@ -262,14 +255,6 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"unknown backend {self.backend!r}; choose from "
                 f"{BACKEND_NAMES}")
-        if self.sim_backend not in BACKEND_NAMES:
-            raise PipelineConfigError(
-                f"unknown sim_backend {self.sim_backend!r}; choose from "
-                f"{BACKEND_NAMES}")
-        if self.train_backend not in BACKEND_NAMES:
-            raise PipelineConfigError(
-                f"unknown train_backend {self.train_backend!r}; choose "
-                f"from {BACKEND_NAMES}")
         if self.eval_batch_size < 1:
             raise PipelineConfigError(
                 f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
@@ -372,8 +357,6 @@ class PipelineConfig:
             "cache_dir": self.cache_dir,
             "backend": self.backend,
             "eval_batch_size": self.eval_batch_size,
-            "sim_backend": self.sim_backend,
-            "train_backend": self.train_backend,
             "sim_samples": self.sim_samples,
             "fault_rates": list(self.fault_rates),
             "fault_kind": self.fault_kind,

@@ -145,11 +145,10 @@ class Pipeline:
     def _stage_deps(self, stage: str, plan: tuple[str, ...]) -> dict:
         """The config slice that determines *stage*'s result.
 
-        ``backend``, ``sim_backend``, ``train_backend`` and
-        ``eval_batch_size`` are deliberately absent from every slice:
-        kernel backends (forward, simulation, projection and training
-        alike) are bit-identical and accuracy is independent of the
-        evaluation batch size, so runs differing only in those fields
+        ``backend`` and ``eval_batch_size`` are deliberately absent from
+        every slice: kernel backends (forward, simulation, projection and
+        training alike) are bit-identical and accuracy is independent of
+        the evaluation batch size, so runs differing only in those fields
         share every cache entry (asserted in ``tests/test_kernels.py``
         and ``tests/test_train_backends.py``).  ``sim_samples`` *does* enter the
         energy slice — simulated toggle energy is part of that stage's

@@ -263,9 +263,9 @@ class PipelineContext:
         if self._model is None:
             self._model = build_model(self.config.app,
                                       seed=self.config.seed + 1)
-            # training-kernel backend: bit-identical speed knob, so it
-            # stays out of every stage cache key (like backend/sim_backend)
-            self._model.set_train_backend(self.config.train_backend)
+            # training kernels follow the run's one backend knob (a
+            # bit-identical speed knob, so it stays out of every stage key)
+            self._model.set_train_backend(self.config.backend)
         return self._model
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -549,13 +549,13 @@ def stage_energy(ctx: PipelineContext) -> EnergyResult:
     Always reports the analytic (architecture-only) model; when
     ``config.sim_samples`` > 0 each design's dense layers are also traced
     through the cycle-accurate toggle simulator on that many real test
-    activations (``config.sim_backend`` picks the bit-identical fast or
+    activations (``config.backend`` picks the bit-identical fast or
     reference counting kernel), exposing the data-dependent energy the
     analytic model averages away.
     """
     topology = ctx.model.topology()
     n_layers = len(ctx.model.trainable_layers)
-    engine = ProcessingEngine(ctx.bits, sim_backend=ctx.config.sim_backend)
+    engine = ProcessingEngine(ctx.bits, backend=ctx.config.backend)
     conventional = engine.run(topology, layer_alphabets=[None] * n_layers)
     rows: list[EnergyDesignRow] = []
     for design in ctx.config.designs:

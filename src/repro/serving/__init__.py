@@ -21,7 +21,7 @@ deployable artifact and serves it:
     Throughput/latency/queue-depth counters plus the paper's energy story
     (estimated nJ per inference via :mod:`repro.hardware.engine`).
 ``repro.serving.server``
-    Stdlib HTTP front end — ``python -m repro.serving`` / ``repro-serve``.
+    Stdlib HTTP front end behind ``repro serve``.
 """
 
 from repro.serving.artifact import (

@@ -15,18 +15,17 @@ Endpoints (all JSON):
 * ``POST /predict`` — ``{"model": name, "inputs": [[...], ...],
   "version": optional int}`` → ``{"predictions": [...], "scores": ...}``.
 
-Run from a checkout::
+Run it through the unified CLI::
 
-    PYTHONPATH=src python -m repro.serving results/artifacts/digits
+    repro serve results/artifacts/digits
 
-or, after ``pip install -e .``, via the ``repro-serve`` console script.
+(``PYTHONPATH=src python -m repro serve ...`` from a checkout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -43,7 +42,7 @@ from repro.serving.batching import (
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry, default_registry
 
-__all__ = ["ServingServer", "create_server", "main", "deprecated_main"]
+__all__ = ["ServingServer", "create_server", "main"]
 
 
 class ServingServer(ThreadingHTTPServer):
@@ -251,7 +250,7 @@ def serve_forever(server: ServingServer) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-serve",
+        prog="repro serve",
         description="Serve exported ASM model artifacts over HTTP")
     parser.add_argument(
         "artifacts", nargs="+", metavar="[NAME=]PATH",
@@ -299,13 +298,6 @@ def main(argv: list[str] | None = None) -> int:
           f"(POST /predict, GET /health /healthz /models /stats /metrics)")
     serve_forever(server)
     return 0
-
-
-def deprecated_main(argv: list[str] | None = None) -> int:
-    """Entry point of the legacy ``repro-serve`` console script."""
-    print("note: `repro-serve` is deprecated; use `repro serve` "
-          "(see `repro --help`)", file=sys.stderr)
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,7 @@
 """RPR002 fixture: every field is hashed, aliased or documented.
 
-``backend`` / ``sim_backend`` / ``train_backend`` /
-``eval_batch_size`` / ``cache_dir`` / ``stages`` sit on the default
-``stage_key_exclusions`` allowlist;
+``backend`` / ``eval_batch_size`` / ``cache_dir`` / ``stages`` sit on
+the default ``stage_key_exclusions`` allowlist;
 ``digest()`` only drops the documented ``cache_dir``; ``bits`` is read
 through the ``word_bits`` accessor alias.
 """
@@ -16,8 +15,6 @@ class PipelineConfig:
     bits: int = 8
     seed: int = 0
     backend: str = "auto"
-    sim_backend: str = "auto"
-    train_backend: str = "auto"
     eval_batch_size: int = 256
     cache_dir: str = "cache"
     stages: tuple = ()
@@ -31,8 +28,6 @@ class PipelineConfig:
             "bits": self.bits,
             "seed": self.seed,
             "backend": self.backend,
-            "sim_backend": self.sim_backend,
-            "train_backend": self.train_backend,
             "eval_batch_size": self.eval_batch_size,
             "cache_dir": self.cache_dir,
             "stages": list(self.stages),

@@ -8,7 +8,6 @@ from repro.experiments.accuracy import (
     format_accuracy_table,
     run_accuracy_grid,
 )
-from repro.experiments.config import QUICK, Budget, budget
 from repro.experiments.energy import FIGURE9_GROUPS, run_figure9
 from repro.experiments.power_area import (
     PAPER_VALUES,
@@ -16,6 +15,7 @@ from repro.experiments.power_area import (
     run_figure10,
 )
 from repro.experiments.tables import table1_rows, table4_rows, table5_rows
+from repro.pipeline.config import QUICK, Budget, budget
 
 TINY = Budget("tiny", n_train=250, n_test=120, max_epochs=3,
               retrain_epochs=2)
@@ -138,19 +138,20 @@ class TestRunnerEntryPoints:
         with pytest.raises(ValueError):
             run_experiment("fig99")
 
-    def test_runner_list(self, capsys):
-        from repro.experiments.runner import main
-        assert main(["--list"]) == 0
+    def test_runner_list(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+        monkeypatch.chdir(tmp_path)
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig7" in out and "table4" in out
 
     def test_runner_single_experiment(self, capsys):
-        from repro.experiments.runner import main
-        assert main(["--experiment", "table5"]) == 0
+        from repro.experiments.runner import execute
+        assert execute(("table5",)) == 0
         assert "45nm" in capsys.readouterr().out
 
     def test_runner_json_output(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments.runner import main
+        from repro.cli import main
         monkeypatch.chdir(tmp_path)
-        assert main(["--experiment", "fig8", "--json"]) == 0
+        assert main(["experiment", "fig8", "--json"]) == 0
         assert (tmp_path / "results" / "fig8.json").exists()

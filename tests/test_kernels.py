@@ -291,26 +291,19 @@ class TestPipelinePlumbing:
         assert base.digest() != \
             base.with_overrides(backend="reference").digest()
 
-    def test_search_space_propagates_backend(self):
-        from repro.explore.space import SearchSpace, SearchSpaceError
-
-        space = SearchSpace(app="mnist_mlp", designs=("asm1",),
-                            backend="reference")
-        assert SearchSpace.from_dict(space.to_dict()) == space
-        (candidate,) = space.grid()
-        assert candidate.backend == "reference"
-        with pytest.raises(SearchSpaceError, match="backend"):
-            SearchSpace(app="mnist_mlp", backend="simd")
-
     def test_cli_backend_flag(self):
         from repro.cli import build_parser
 
         parser = build_parser()
         args = parser.parse_args(["run", "cfg.json", "--backend", "fast"])
         assert args.backend == "fast"
-        args = parser.parse_args(["explore", "space.toml",
-                                  "--backend", "reference"])
-        assert args.backend == "reference"
+        for flag in ("--sim-backend", "--train-backend"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["run", "cfg.json", flag, "fast"])
+        # explore candidates always run on the config default ("auto")
+        with pytest.raises(SystemExit):
+            parser.parse_args(["explore", "space.toml",
+                               "--backend", "reference"])
 
     def test_pipeline_designs_bit_identical_across_backends(self, tmp_path):
         """Acceptance: conventional, asm1 and a mixed design deploy

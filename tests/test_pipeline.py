@@ -77,6 +77,23 @@ class TestConfigValidation:
         with pytest.raises(PipelineConfigError, match="frobnicate"):
             PipelineConfig.from_dict({"app": "face", "frobnicate": 1})
 
+    @pytest.mark.parametrize("key", ["sim_backend", "train_backend"])
+    def test_v1_backend_keys_rejected_typed(self, key, tmp_path):
+        """1.x files naming the per-family backend keys (now the single
+        ``backend``) fail with the typed unknown-key errors."""
+        from repro.explore import JournalError, SearchSpace, SearchSpaceError
+        from repro.explore.journal import load_space
+
+        with pytest.raises(PipelineConfigError, match=key):
+            PipelineConfig.from_dict({"app": "face", key: "auto"})
+        space = {"app": "face", "backend": "auto", key: "auto"}
+        with pytest.raises(SearchSpaceError, match="backend"):
+            SearchSpace.from_dict({"app": "face", "backend": "auto"})
+        (tmp_path / "space.json").write_text(json.dumps(
+            {"format": 1, "space": space, "space_digest": "0" * 64}))
+        with pytest.raises(JournalError, match=key):
+            load_space(str(tmp_path))
+
     def test_unknown_budget_key_rejected(self):
         with pytest.raises(PipelineConfigError, match="n_epochs"):
             tiny_config(budget={**TINY, "n_epochs": 3})
@@ -407,10 +424,10 @@ class TestLegacyEquivalence:
         from repro.asm.constraints import WeightConstrainer
         from repro.datasets.registry import (
             BENCHMARKS, build_model, load_dataset)
-        from repro.experiments.config import TRAIN_SETTINGS
         from repro.nn.optim import SGD
         from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
         from repro.nn.trainer import Trainer
+        from repro.pipeline.config import TRAIN_SETTINGS
         from repro.serving.registry import ModelRegistry
         from repro.training.constrained import (
             ConstraintProjector, constrained_trainer)
@@ -477,10 +494,10 @@ class TestLegacyEquivalence:
         from repro.datasets.registry import (
             BENCHMARKS, build_model, load_dataset, training_arrays)
         from repro.experiments.accuracy import run_accuracy_grid
-        from repro.experiments.config import TRAIN_SETTINGS
         from repro.nn.optim import SGD
         from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
         from repro.nn.trainer import Trainer
+        from repro.pipeline.config import TRAIN_SETTINGS
         from repro.training.constrained import (
             ConstraintProjector, constrained_trainer)
 
@@ -612,7 +629,7 @@ class TestCLI:
 
     def test_package_exports(self):
         import repro
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "2.0.0"
         assert repro.PipelineConfig is PipelineConfig
         assert repro.run_pipeline is run_pipeline
         from repro.kernels import get_backend
@@ -622,19 +639,3 @@ class TestCLI:
         assert repro.run_exploration is run_exploration
         with pytest.raises(AttributeError):
             repro.nonexistent_name
-
-
-class TestDeprecationShims:
-    def test_runner_shim_exits_zero(self, capsys):
-        from repro.experiments.runner import main
-        assert main(["--list"]) == 0
-        captured = capsys.readouterr()
-        assert "fig7" in captured.out
-        assert "deprecated" in captured.err
-
-    def test_repro_serve_shim_help(self, capsys):
-        from repro.serving.server import deprecated_main
-        with pytest.raises(SystemExit) as excinfo:
-            deprecated_main(["--help"])
-        assert excinfo.value.code == 0
-        assert "deprecated" in capsys.readouterr().err

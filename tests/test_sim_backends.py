@@ -102,8 +102,8 @@ class TestSimulatorBitIdentity:
             8, ALPHA_1, backend="reference").backend == "reference"
 
     def test_engine_simulator_factory(self):
-        """ProcessingEngine hands its sim_backend to memoized simulators."""
-        engine = ProcessingEngine(8, sim_backend="reference")
+        """ProcessingEngine hands its backend to memoized simulators."""
+        engine = ProcessingEngine(8, backend="reference")
         sim = engine.simulator(ALPHA_2)
         assert sim.backend == "reference"
         assert sim.units == engine.units
@@ -244,9 +244,8 @@ class TestSimulatedEnergyStage:
             assert row.sim_cycles == row.cycles
             assert row.sim_macs > 0
         # the fully-reference run reproduces the same energy result bit
-        # for bit (forward, simulation and projection backends alike)
-        reference = Pipeline(self._config(
-            backend="reference", sim_backend="reference")).run()
+        # for bit (forward, simulation, projection and training alike)
+        reference = Pipeline(self._config(backend="reference")).run()
         assert reference.energy == report.energy
 
     def test_sim_samples_zero_keeps_analytic_rows(self):
@@ -262,14 +261,14 @@ class TestSimulatedEnergyStage:
             assert row.sim_cycles == 0
 
     def test_cache_keys(self):
-        """sim_backend never splits the cache; sim_samples splits only
-        the energy stage, and only when nonzero."""
+        """backend never splits the cache; sim_samples splits only the
+        energy stage, and only when nonzero."""
         from repro.pipeline.pipeline import Pipeline
 
         base = Pipeline(self._config(sim_samples=0))
         simulated = Pipeline(self._config(sim_samples=4))
         other_backend = Pipeline(self._config(sim_samples=4,
-                                              sim_backend="reference"))
+                                              backend="reference"))
         plan = base.plan()
         sim_plan = simulated.plan()
         for stage in plan:

@@ -201,39 +201,31 @@ class TestDirectKernelParity:
 # ----------------------------------------------------------------------
 class TestTrainBackendPlumbing:
     def test_default_is_reference(self):
-        assert build_mlp().train_backend == "reference"
+        assert build_mlp().train_kernel.name == "reference"
 
     def test_auto_resolves_to_fast(self):
         network = build_mlp()
         network.set_train_backend("auto")
-        assert network.train_backend == "fast"
+        assert network.train_kernel.name == "fast"
         assert network.train_kernel is get_backend("auto")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(Exception):
             build_mlp().set_train_backend("gpu")
 
-    def test_config_validates_train_backend(self):
-        from repro.pipeline.config import PipelineConfig, \
-            PipelineConfigError
+    def test_config_backend_drives_training(self):
+        from repro.pipeline.config import PipelineConfig
+        from repro.pipeline.stages import PipelineContext
 
-        config = PipelineConfig(app="mnist_mlp", train_backend="reference")
-        assert config.to_dict()["train_backend"] == "reference"
-        with pytest.raises(PipelineConfigError):
-            PipelineConfig(app="mnist_mlp", train_backend="gpu")
-
-    def test_search_space_carries_train_backend(self):
-        from repro.explore.space import SearchSpace
-
-        space = SearchSpace(app="mnist_mlp", designs=("asm2",),
-                            train_backend="reference")
-        assert space.to_dict()["train_backend"] == "reference"
-        for candidate in space.grid():
-            assert candidate.train_backend == "reference"
+        for name in ("reference", "fast"):
+            ctx = PipelineContext(PipelineConfig(app="mnist_mlp",
+                                                 backend=name))
+            assert ctx.model.train_kernel.name == name
 
 
 class TestTrainBackendCacheNeutrality:
-    """Runs differing only in train_backend share every cache entry."""
+    """Runs differing only in backend (which also picks the training
+    kernels) share every cache entry."""
 
     BUDGET = {"name": "micro", "n_train": 60, "n_test": 30,
               "max_epochs": 1, "retrain_epochs": 1}
@@ -250,7 +242,7 @@ class TestTrainBackendCacheNeutrality:
 
     def test_stage_keys_identical_across_backends(self):
         fast = self._pipeline()                     # default "auto"
-        reference = self._pipeline(train_backend="reference")
+        reference = self._pipeline(backend="reference")
         plan = fast.plan()
         assert plan == reference.plan()
         for stage in plan:
@@ -259,7 +251,7 @@ class TestTrainBackendCacheNeutrality:
 
     def test_backends_produce_identical_reports(self):
         fast = self._pipeline().run()
-        reference = self._pipeline(train_backend="reference").run()
+        reference = self._pipeline(backend="reference").run()
         assert fast.evaluate == reference.evaluate
         assert fast.train == reference.train
 
