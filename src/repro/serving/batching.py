@@ -4,8 +4,14 @@ The integer-matmul forward pass is dramatically cheaper per sample when
 batched (see ``benchmarks/bench_serving_throughput.py``), so the server
 never runs one sample at a time: requests enter a queue, a worker thread
 drains it, groups requests by model key, and runs one forward pass per
-group.  A request waits at most ``max_latency_ms`` for co-riders and a
-batch never exceeds ``max_batch_size`` samples.
+group.  A batch never exceeds ``max_batch_size`` samples.
+
+The batcher is work-conserving by default (``max_latency_ms=0``): the
+worker takes the first queued request plus whatever queued while the
+previous forward pass ran, and never idles waiting for co-riders.
+Batches still form under load, because requests pile up behind a
+running forward pass.  A positive ``max_latency_ms`` makes a request
+wait up to that long for co-riders, trading latency for larger batches.
 
 Each :meth:`MicroBatcher.submit` returns a
 :class:`concurrent.futures.Future` resolving to the score rows for that
@@ -19,8 +25,10 @@ once it is full (the server maps this to ``503`` + ``Retry-After``);
 ``deadline_s`` bounds a request's total queue + compute time — a request
 that waited past its deadline resolves to
 :class:`DeadlineExceededError` instead of burning a forward pass on an
-answer nobody is waiting for.  An exception escaping a batch resolves
-that batch's futures and never kills the worker thread.
+answer nobody is waiting for.  A request whose future the caller
+cancelled is dropped before the forward pass too.  An exception
+escaping a batch resolves that batch's futures and never kills the
+worker thread.
 """
 
 from __future__ import annotations
@@ -54,7 +62,9 @@ class BatchSettings:
     """Tunables for the micro-batching queue."""
 
     max_batch_size: int = 64
-    max_latency_ms: float = 5.0
+    #: longest a request waits for co-riders (0 = work-conserving: take
+    #: only what queued meanwhile)
+    max_latency_ms: float = 0.0
     #: admission bound: submits shed with :class:`QueueFullError` while
     #: this many requests are already queued (0 = unbounded)
     max_queue_depth: int = 0
@@ -221,15 +231,17 @@ class MicroBatcher:
             pass
 
     def _expire(self, batch: list[_Request]) -> list[_Request]:
-        """Drop requests whose deadline passed while they queued."""
+        """Drop requests nobody waits for: cancelled by their caller (the
+        server cancels when it stops waiting), or queued past the
+        deadline."""
         deadline_s = self.settings.deadline_s
-        if deadline_s is None:
-            return batch
         now = time.monotonic()
         live = []
         for request in batch:
+            if request.future.cancelled():
+                continue
             waited = now - request.enqueued
-            if waited > deadline_s:
+            if deadline_s is not None and waited > deadline_s:
                 if self.metrics is not None:
                     self.metrics.record_deadline_expired()
                 self._resolve_future(request.future, error=(

@@ -15,6 +15,14 @@ Endpoints (all JSON):
 * ``POST /predict`` — ``{"model": name, "inputs": [[...], ...],
   "version": optional int}`` → ``{"predictions": [...], "scores": ...}``.
 
+Connections persist: the handler speaks HTTP/1.1 with ``TCP_NODELAY``,
+so a client that keeps its connection open (``http.client``, curl,
+``requests.Session``) pays one TCP connect, not one per request.
+Request bodies are framed by ``Content-Length`` alone.  A negative or
+non-integer length, or any ``Transfer-Encoding``, gets a 400 and the
+connection closes; so does any reply sent before the body was read, so
+leftover body bytes never parse as the next request.
+
 Run it through the unified CLI::
 
     repro serve results/artifacts/digits
@@ -26,8 +34,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import socket
 import threading
 import time
+from concurrent.futures import TimeoutError as ResultTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -44,6 +54,9 @@ from repro.serving.registry import ModelRegistry, default_registry
 
 __all__ = ["ServingServer", "create_server", "main"]
 
+#: how long a handler waits for its batch when no ``deadline_s`` is set
+RESULT_TIMEOUT_S = 30.0
+
 
 class ServingServer(ThreadingHTTPServer):
     """HTTP server owning the registry, batcher and metrics."""
@@ -56,6 +69,9 @@ class ServingServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int],
                  registry: ModelRegistry,
                  settings: BatchSettings | None = None) -> None:
+        # open client connections, so shutdown can end kept-alive ones
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
         self.registry = registry
         self.metrics = ServingMetrics()
@@ -63,9 +79,30 @@ class ServingServer(ThreadingHTTPServer):
             lambda key: registry.get(*key), settings=settings,
             metrics=self.metrics)
 
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
     def shutdown(self) -> None:
-        """Stop the HTTP loop, drain the batcher, release the socket."""
+        """Stop the HTTP loop, end every kept-alive connection once its
+        in-flight request is answered, drain the batcher, release the
+        socket."""
         super().shutdown()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            # a handler idling for the next request reads EOF and returns;
+            # one mid-request still writes its response first
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
         self.batcher.close()
         self.server_close()
 
@@ -73,30 +110,75 @@ class ServingServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: ServingServer
 
+    # keep-alive: one handler serves every request on its connection
+    protocol_version = "HTTP/1.1"
+    # without TCP_NODELAY a response written in two pieces waits ~40 ms
+    # for the client's delayed ACK (Nagle's algorithm)
+    disable_nagle_algorithm = True
+    # buffered: the headers and the body leave in one send when
+    # handle_one_request flushes after each request
+    wbufsize = 1 << 16
+    #: whether the current request's body has been consumed
+    _body_read = False
+
     # silence per-request stderr lines; metrics carry the signal
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
+    def parse_request(self) -> bool:
+        self._body_read = False
+        return super().parse_request()
+
+    def handle_expect_100(self) -> bool:
+        # send the interim 100 now: the client holds the body back for it
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
     # ------------------------------------------------------------------
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode()
+    def _respond(self, status: int, body: bytes, content_type: str,
+                 retry_after_s: int | None = None) -> None:
+        """The one response writer: every reply carries Content-Length,
+        and a reply that leaves request-body bytes unread closes the
+        connection, so those bytes never parse as the next request."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if retry_after_s is not None:
+            self.send_header("Retry-After", str(retry_after_s))
+        if not self._body_read and (
+                "Transfer-Encoding" in self.headers
+                or self.headers.get("Content-Length", "0").strip() != "0"):
+            self.send_header("Connection", "close")   # sets close_connection
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, payload: dict, status: int = 200,
+                   retry_after_s: int | None = None) -> None:
+        self._respond(status, json.dumps(payload).encode(),
+                      "application/json", retry_after_s)
 
     def _send_error_json(self, status: int, message: str,
                          retry_after_s: int | None = None) -> None:
         self.server.metrics.record_error()
-        body = json.dumps({"error": message}).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after_s is not None:
-            self.send_header("Retry-After", str(retry_after_s))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_json({"error": message}, status, retry_after_s)
+
+    def _read_body(self) -> bytes | None:
+        """The request body, framed by Content-Length alone; ``None``
+        once framing this server does not accept got its 400."""
+        if "Transfer-Encoding" in self.headers:
+            self._send_error_json(
+                400, "Transfer-Encoding bodies are not supported; "
+                     "send Content-Length")
+            return None
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            # rfile.read(-1) would wait for EOF and never reply
+            self._send_error_json(400, f"invalid Content-Length {length!r}")
+            return None
+        body = self.rfile.read(int(length))
+        self._body_read = True
+        return body
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib API
@@ -125,13 +207,8 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/metrics":
             self.server.metrics.set_queue_depth(
                 self.server.batcher.queue_depth())
-            body = self.server.metrics.to_prometheus().encode()
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._respond(200, self.server.metrics.to_prometheus().encode(),
+                          "text/plain; version=0.0.4; charset=utf-8")
         elif self.path == "/models":
             payload = []
             for entry in self.server.registry.list_models():
@@ -155,10 +232,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(404, f"unknown path {self.path!r}")
             return
         started = time.monotonic()
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            request = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
+            request = json.loads(body or b"{}")
+        except ValueError:
             self._send_error_json(400, "body is not valid JSON")
             return
         if not isinstance(request, dict):
@@ -183,6 +262,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(
                 400, f"'inputs' has unsupported rank {inputs.ndim}")
             return
+        # the deadline bounds queue + compute, so it bounds the wait too
+        timeout_s = self.server.batcher.settings.deadline_s or RESULT_TIMEOUT_S
         try:
             # resolve once and pin the version, so the batch, the energy
             # estimate and the metrics all describe the same model even if
@@ -192,18 +273,22 @@ class _Handler(BaseHTTPRequestHandler):
                 entry = self.server.registry.entry(name, version)
                 future = self.server.batcher.submit((name, entry.version),
                                                     inputs)
-                scores = future.result(timeout=30.0)
+                scores = future.result(timeout=timeout_s)
         except KeyError as error:
             self._send_error_json(
                 404, str(error.args[0]) if error.args else str(error))
             return
-        except QueueFullError as error:
-            # admission control: shed with Retry-After so well-behaved
-            # clients back off instead of hammering an overloaded queue
+        except (QueueFullError, DeadlineExceededError) as error:
+            # admission control and deadlines: shed with Retry-After so
+            # well-behaved clients back off instead of hammering the queue
             self._send_error_json(503, str(error), retry_after_s=1)
             return
-        except DeadlineExceededError as error:
-            self._send_error_json(503, str(error), retry_after_s=1)
+        except ResultTimeoutError:
+            future.cancel()             # the batcher skips it if still queued
+            self.server.metrics.record_deadline_expired()
+            self._send_error_json(
+                503, f"no result within {timeout_s * 1e3:.0f}ms; "
+                     f"retry later", retry_after_s=1)
             return
         except ValueError as error:
             # shape/rank mismatches between the inputs and the model
@@ -259,8 +344,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=8100)
     parser.add_argument("--max-batch-size", type=int, default=64,
                         help="samples per coalesced forward pass")
-    parser.add_argument("--max-latency-ms", type=float, default=5.0,
-                        help="longest a request waits for co-riders")
+    parser.add_argument("--max-latency-ms", type=float, default=0.0,
+                        help="longest a request waits for co-riders "
+                             "(0 = batch only what queued during the "
+                             "previous forward pass; raise it to trade "
+                             "latency for larger batches)")
     parser.add_argument("--max-queue-depth", type=int, default=0,
                         help="shed requests (503) past this queue depth "
                              "(0 = unbounded)")

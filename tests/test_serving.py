@@ -1,11 +1,14 @@
 """Tests for the serving stack: artifacts, compiled models, registry,
 micro-batching and the HTTP front end."""
 
+import http.client
 import json
 import os
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -227,6 +230,9 @@ class TestRegistry:
 
 
 class TestMicroBatcher:
+    def test_default_is_work_conserving(self):
+        assert BatchSettings().max_latency_ms == 0.0
+
     def test_concurrent_submitters_bit_identical(self, exported):
         quantized, path = exported
         compiled = CompiledModel.load(path)
@@ -234,9 +240,10 @@ class TestMicroBatcher:
         reference = quantized.forward(x)
         metrics = ServingMetrics()
         results: dict[int, np.ndarray] = {}
+        # the default (work-conserving) window: requests still coalesce
+        # because they pile up behind a running forward pass
         with MicroBatcher(lambda key: compiled,
-                          BatchSettings(max_batch_size=16,
-                                        max_latency_ms=20.0),
+                          BatchSettings(max_batch_size=16),
                           metrics=metrics) as batcher:
             def submit_range(start: int, stop: int) -> None:
                 futures = [(i, batcher.submit("digits", x[i]))
@@ -536,6 +543,20 @@ class TestOverloadHardening:
             scores = batcher.predict("digits", x, timeout=10.0)
         assert np.array_equal(scores, quantized.forward(x))
 
+    def test_cancelled_request_skips_forward_pass(self, exported):
+        _, path = exported
+        model = _GatedModel(CompiledModel.load(path))
+        metrics = ServingMetrics()
+        x = sample_batch(1)
+        with MicroBatcher(lambda key: model,
+                          metrics=metrics) as batcher:
+            held = batcher.submit("digits", x)      # occupies the worker
+            assert model.started.wait(timeout=10.0)
+            assert batcher.submit("digits", x).cancel()
+            model.gate.set()
+            held.result(timeout=10.0)
+        assert metrics.snapshot()["batches_total"] == 1
+
     def test_close_resolves_inflight_requests(self, exported):
         quantized, path = exported
         compiled = CompiledModel.load(path)
@@ -624,3 +645,180 @@ class TestServerHardening:
             future.result(timeout=10.0)
         assert _get(f"{base}/healthz") == {"status": "ready"}
         assert _get(f"{base}/stats")["shed_total"] == 1
+
+
+# ----------------------------------------------------------------------
+# connections: keep-alive, TCP_NODELAY, request framing
+# ----------------------------------------------------------------------
+def _connection(base: str) -> http.client.HTTPConnection:
+    parts = urllib.parse.urlsplit(base)
+    return http.client.HTTPConnection(parts.hostname, parts.port,
+                                      timeout=10.0)
+
+
+def _predict(conn: http.client.HTTPConnection, x: np.ndarray):
+    conn.request("POST", "/predict",
+                 body=json.dumps({"model": "digits",
+                                  "inputs": x.tolist()}).encode(),
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response, json.loads(response.read())
+
+
+def _exchange(base: str, raw: bytes, timeout: float = 1.0) -> bytes:
+    """Send raw request bytes; return all the server sends before it
+    closes the connection (a socket timeout fails the caller)."""
+    parts = urllib.parse.urlsplit(base)
+    with socket.create_connection((parts.hostname, parts.port),
+                                  timeout=timeout) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestConnections:
+    def test_predicts_reuse_one_connection(self, running_server):
+        base, quantized = running_server
+        conn = _connection(base)
+        try:
+            sockets = []
+            for x in (sample_batch(1)[0], sample_batch(3)):
+                response, payload = _predict(conn, x)
+                assert response.status == 200
+                assert np.array_equal(np.asarray(payload["scores"]),
+                                      quantized.forward(np.atleast_2d(x)))
+                sockets.append(conn.sock)
+            assert sockets[0] is not None and sockets[0] is sockets[1]
+        finally:
+            conn.close()
+
+    def test_sequential_requests_do_not_wait_for_delayed_acks(
+            self, running_server):
+        # with Nagle's algorithm on, each reply would stall ~40 ms on the
+        # client's delayed ACK: 50 requests would take about 2 s
+        base, _ = running_server
+        x = sample_batch(1)[0]
+        conn = _connection(base)
+        try:
+            _predict(conn, x)                       # connect + warm up
+            started = time.monotonic()
+            for _ in range(50):
+                response, _payload = _predict(conn, x)
+                assert response.status == 200
+            assert time.monotonic() - started < 1.0
+        finally:
+            conn.close()
+
+    def test_unread_body_closes_connection(self, running_server):
+        base, quantized = running_server
+        # the 404 body is itself a request: kept alive, it would be
+        # parsed as one and draw a second reply
+        smuggled = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        reply = _exchange(base, (
+            b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + str(len(smuggled)).encode() + b"\r\n\r\n" + smuggled))
+        assert reply.startswith(b"HTTP/1.1 404")
+        assert reply.count(b"HTTP/1.") == 1
+        conn = _connection(base)
+        try:
+            conn.request("POST", "/nope", body=b'{"model": "digits"}')
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
+            x = sample_batch(2)
+            response, payload = _predict(conn, x)   # reconnects
+            assert response.status == 200
+            assert np.array_equal(np.asarray(payload["scores"]),
+                                  quantized.forward(x))
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("framing", [
+        b"Content-Length: -1\r\n\r\n{}",
+        b"Content-Length: 12abc\r\n\r\n{}",
+        b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    ], ids=["negative", "garbage", "chunked"])
+    def test_hostile_framing_is_400_and_closes(self, running_server,
+                                               framing):
+        base, _ = running_server
+        started = time.monotonic()
+        reply = _exchange(base, b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                                + framing)
+        assert time.monotonic() - started < 1.0
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in reply
+
+    def test_expect_100_continue_answered_before_body(self, running_server):
+        base, quantized = running_server
+        x = sample_batch(1)
+        body = json.dumps({"model": "digits", "inputs": x.tolist()}).encode()
+        parts = urllib.parse.urlsplit(base)
+        with socket.create_connection((parts.hostname, parts.port),
+                                      timeout=1.0) as sock:
+            sock.sendall(b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                         b"Expect: 100-continue\r\nContent-Length: "
+                         + str(len(body)).encode() + b"\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n"
+                         b"Connection: close\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        first, second = reply.split(b"HTTP/1.1 ")[1:]
+        assert first.startswith(b"200")
+        scores = json.loads(first.split(b"\r\n\r\n", 1)[1])["scores"]
+        assert np.array_equal(np.asarray(scores), quantized.forward(x))
+        assert second.startswith(b"200")
+
+    def test_shutdown_ends_idle_kept_alive_connection(self, exported):
+        _, path = exported
+        registry = ModelRegistry()
+        registry.register(path, name="digits")
+        server = create_server(registry)
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            conn.request("GET", "/health")
+            assert conn.getresponse().read()
+            assert conn.sock is not None            # kept alive
+            server.shutdown()
+            # the server ends the connection instead of leaving a handler
+            # parked on it in front of a closed batcher
+            assert conn.sock.recv(1) == b""
+        finally:
+            conn.close()
+            loop.join(timeout=5.0)
+
+    def test_result_timeout_is_503_not_500(self, exported):
+        _, path = exported
+        registry = ModelRegistry()
+        registry.register(path, name="digits")
+        server = create_server(registry,
+                               settings=BatchSettings(deadline_s=0.05))
+        model = _GatedModel(CompiledModel.load(path))
+        server.batcher._resolve = lambda key: model
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
+        try:
+            started = time.monotonic()
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(f"{base}/predict", {"model": "digits",
+                                          "inputs": sample_batch(1).tolist()})
+            assert time.monotonic() - started < 5.0
+            assert excinfo.value.code == 503
+            assert excinfo.value.headers["Retry-After"] == "1"
+            assert "no result within 50ms" in json.loads(
+                excinfo.value.read())["error"]
+            assert _get(f"{base}/stats")["deadline_expired_total"] == 1
+        finally:
+            model.gate.set()
+            server.shutdown()
+            loop.join(timeout=5.0)
