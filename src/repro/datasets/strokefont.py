@@ -9,6 +9,8 @@ dataset in :mod:`repro.datasets` is reproducible from its seed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["GLYPHS", "glyph_strokes", "render_glyph", "render_strokes",
@@ -119,6 +121,16 @@ def jitter_transform(rng: np.random.Generator,
     return matrix, offset
 
 
+@functools.lru_cache(maxsize=None)
+def _pixel_grid(image_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(px, py)`` pixel-centre coordinates, built once per size."""
+    grid = (np.arange(image_size) + 0.5) / image_size
+    px, py = np.meshgrid(grid, grid, indexing="xy")
+    px.flags.writeable = False
+    py.flags.writeable = False
+    return px, py
+
+
 def render_strokes(strokes: list[list[tuple[float, float]]],
                    image_size: int = 32,
                    thickness: float = 0.05,
@@ -127,33 +139,40 @@ def render_strokes(strokes: list[list[tuple[float, float]]],
     """Rasterise polylines into an ``(image_size, image_size)`` float image.
 
     Pixel intensity is an anti-aliased distance field: 1 on the stroke
-    centre line, fading to 0 one softening width away.
+    centre line, fading to 0 one softening width away.  All segments of
+    all strokes are evaluated as one ``(segments, H, W)`` stack over a
+    pixel grid cached per size, and the image is their pixelwise
+    maximum; every element goes through the same float ops as a
+    segment-at-a-time loop, so the bytes match it.
     """
     if image_size < 4:
         raise ValueError("image too small to draw on")
     if thickness <= 0:
         raise ValueError("thickness must be positive")
-    grid = (np.arange(image_size) + 0.5) / image_size
-    px, py = np.meshgrid(grid, grid, indexing="xy")
-    image = np.zeros((image_size, image_size))
-    soft = 1.5 / image_size
+    segments = [np.empty((0, 4))]
     for stroke in strokes:
         points = np.asarray(stroke, dtype=np.float64)
         if transform is not None:
             matrix, offset = transform
             points = (points - 0.5) @ matrix.T + 0.5 + offset
-        for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
-            dx, dy = x1 - x0, y1 - y0
-            length_sq = dx * dx + dy * dy
-            if length_sq < 1e-12:
-                dist = np.hypot(px - x0, py - y0)
-            else:
-                t = ((px - x0) * dx + (py - y0) * dy) / length_sq
-                t = np.clip(t, 0.0, 1.0)
-                dist = np.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
-            intensity = np.clip(1.0 - (dist - thickness / 2) / soft, 0.0, 1.0)
-            np.maximum(image, intensity, out=image)
-    return image
+        points = points.reshape(-1, 2)
+        segments.append(np.concatenate([points[:-1], points[1:]], axis=1))
+    ends = np.concatenate(segments)
+    if not len(ends):
+        return np.zeros((image_size, image_size))
+    x0, y0, x1, y1 = ends.T[:, :, np.newaxis, np.newaxis]
+    px, py = _pixel_grid(image_size)
+    dx, dy = x1 - x0, y1 - y0
+    length_sq = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((px - x0) * dx + (py - y0) * dy) / length_sq
+    # a zero-length segment is a dot: t = 0 makes x0 + t*dx exactly x0,
+    # so its distance is hypot(px - x0, py - y0) to the last bit
+    t = np.where(length_sq < 1e-12, 0.0, np.clip(t, 0.0, 1.0))
+    dist = np.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
+    soft = 1.5 / image_size
+    intensity = np.clip(1.0 - (dist - thickness / 2) / soft, 0.0, 1.0)
+    return intensity.max(axis=0)
 
 
 def render_glyph(char: str, rng: np.random.Generator,

@@ -23,7 +23,7 @@ The toggle counting itself is a compute kernel of :mod:`repro.kernels`
 the schedule cycle by cycle, ``backend="fast"`` (the ``"auto"`` default)
 lays the whole evaluation out over the time axis and counts all four
 toggle categories in one batched XOR + popcount pass — bit-identical
-traces, an order of magnitude less wall-clock (see
+traces, about two orders of magnitude less wall-clock (see
 ``BENCH_simulator.json``).  This class owns validation, the effective-
 weight remap and the energy model; the kernels own the counting.
 """

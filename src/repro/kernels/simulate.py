@@ -11,7 +11,7 @@ implementations behind the backend registry:
     kept as the bit-exact ground truth.  Its per-cycle scratch arrays are
     preallocated once per layer (an honest baseline should not pay
     allocator churn), but the O(fan_in x neuron-groups) Python iteration
-    count is unchanged.
+    count is unchanged, so its cost is Python dispatch, not counting.
 
 ``fast``
     The vectorised lowering: the whole evaluation is laid out over the
@@ -19,7 +19,9 @@ implementations behind the backend registry:
     integer product, bank values as an outer product with the alphabet,
     accumulators as a per-group cumulative sum — and all four toggle
     categories reduce to one batched XOR + popcount over consecutive
-    rows of each stream.  Bit-identical by construction: the streams are
+    rows of each stream.  The popcount is one ``np.bitwise_count`` pass,
+    so building the streams, not counting them, dominates the cost.
+    Bit-identical by construction: the streams are
     exactly the per-cycle values the reference loop visits, in the same
     order, including the zero-padded tail lanes of a ragged final neuron
     group and the ``prev_*`` register state carried across group
@@ -66,7 +68,8 @@ def _toggles(previous: np.ndarray, current: np.ndarray) -> int:
     bits — elementwise for the reference loop's single-cycle buffers,
     over aligned rows for the fast kernel's whole-schedule streams.
     Both backends count through this one function, so the masking and
-    popcount rule cannot silently diverge."""
+    popcount rule cannot silently diverge (and its speed moves both
+    backends alike)."""
     return int(popcount_array((previous ^ current) & _MASK).sum())
 
 

@@ -5,13 +5,17 @@ The fast backends of :mod:`repro.kernels.simulate` and
 reference loops they vectorise.  This suite enforces the claim with
 seeded property-style sweeps: simulator traces across units x fan_in x
 alphabet sets (including the multiplierless MAN and the conventional
-engine) x ragged tail groups, and projector equality/idempotence across
+engine) x ragged tail groups, hypothesis-generated layers fed straight
+to both simulation kernels, and projector equality/idempotence across
 word widths under randomly drifting weights that cross power-of-two
 format boundaries (exercising the fast kernel's QFormat memoization).
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4, ALPHA_8
 from repro.asm.constraints import WeightConstrainer
@@ -19,6 +23,8 @@ from repro.hardware.engine import ProcessingEngine
 from repro.hardware.simulator import CycleAccurateEngine
 from repro.kernels import get_backend
 from repro.kernels.projection import project_fast, project_reference
+from repro.kernels.simulate import (simulate_layer_fast,
+                                    simulate_layer_reference)
 from repro.training.constrained import ConstraintProjector
 
 ALPHABET_CASES = {
@@ -111,6 +117,63 @@ class TestSimulatorBitIdentity:
         conventional = engine.simulator(None)            # explicit None
         assert conventional.alphabet_set is None
         assert conventional is not sim
+
+
+def _signed(bits):
+    return st.integers(-(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+
+
+@st.composite
+def _sim_layers(draw):
+    """Plain kernel inputs: weights, inputs, lane count, bank multiples."""
+    fan_in = draw(st.integers(1, 64))
+    neurons = draw(st.integers(1, 13))
+    weights = draw(hnp.arrays(np.int64, (fan_in, neurons),
+                              elements=_signed(draw(st.integers(4, 16)))))
+    inputs = draw(hnp.arrays(np.int64, fan_in,
+                             elements=_signed(draw(st.integers(4, 16)))))
+    units = draw(st.integers(1, 8))
+    bank = draw(st.lists(st.sampled_from(range(3, 16, 2)), max_size=4,
+                         unique=True))
+    return weights, inputs, units, tuple(sorted(bank))
+
+
+# 64 full-scale 16-bit MACs: every accumulator passes 2**31 (and 2**32)
+_OVER_32_BITS = (np.full((64, 5), -2**15, dtype=np.int64),
+                 np.full(64, -2**15, dtype=np.int64), 2, (3, 5, 7))
+
+
+class TestSimulateKernelsGenerated:
+    """simulate_layer_reference == simulate_layer_fast on generated
+    layers: ragged final groups, 4-16-bit operands, with and without a
+    pre-computer bank, and accumulators wider than the 32-bit mask."""
+
+    @settings(max_examples=80, deadline=None)
+    @example(layer=_OVER_32_BITS)
+    @given(layer=_sim_layers())
+    def test_fast_matches_reference(self, layer):
+        weights, inputs, units, bank = layer
+        reference = simulate_layer_reference(weights, inputs, units, bank)
+        assert simulate_layer_fast(weights, inputs, units, bank) \
+            == reference
+        assert reference.cycles == -(-weights.shape[1] // units) \
+            * weights.shape[0]
+
+    def test_accumulator_toggles_wrap_at_32_bits(self):
+        """Golden model in Python ints: accumulators past 2**32 toggle
+        only their low ACC_BITS bits, on both backends."""
+        weights, inputs, units, bank = _OVER_32_BITS
+        expected = peak = 0
+        for lane in weights.T.tolist():
+            acc = 0
+            for w, x in zip(lane, inputs.tolist()):
+                expected += bin((acc ^ (acc + w * x)) & 0xFFFFFFFF).count("1")
+                acc += w * x
+                peak = max(peak, acc)
+        assert peak > 2**32
+        for kernel in (simulate_layer_reference, simulate_layer_fast):
+            counts = kernel(weights, inputs, units, bank)
+            assert counts.toggles["accumulators"] == expected
 
 
 class TestProjectorBitIdentity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
 from repro.asm.constraints import WeightConstrainer
@@ -30,6 +31,48 @@ class TestPopcountArray:
         expected = [popcount(v) for v in values]
         np.testing.assert_array_equal(popcount_array(np.array(values)),
                                       expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.int64,
+                      hnp.array_shapes(min_dims=0, max_dims=3,
+                                       min_side=0, max_side=5),
+                      elements=st.integers(0, 2**63 - 1)))
+    def test_matches_golden_model(self, values):
+        counts = popcount_array(values)
+        assert counts.dtype == np.int64
+        assert counts.shape == values.shape
+        np.testing.assert_array_equal(counts, _golden_popcount(values))
+
+    @pytest.mark.parametrize("value", [0, 1, 2**31 - 1, 2**31, 2**32 - 1,
+                                       2**62, 2**63 - 1])
+    def test_word_boundaries(self, value):
+        counts = popcount_array(np.array([value, value], dtype=np.int64))
+        assert counts.tolist() == [bin(value).count("1")] * 2
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2, 4)])
+    def test_empty_keeps_shape_and_dtype(self, shape):
+        counts = popcount_array(np.zeros(shape, dtype=np.int64))
+        assert counts.shape == shape
+        assert counts.dtype == np.int64
+
+    def test_multi_dim(self):
+        values = np.arange(24, dtype=np.int64).reshape(2, 3, 4) * 2**40 + 7
+        counts = popcount_array(values)
+        assert counts.shape == (2, 3, 4)
+        np.testing.assert_array_equal(counts, _golden_popcount(values))
+
+    @given(hnp.arrays(np.int64, st.integers(1, 8),
+                      elements=st.integers(-2**63, 2**63 - 1)).filter(
+                          lambda values: values.min() < 0))
+    def test_rejects_any_negative(self, values):
+        with pytest.raises(ValueError):
+            popcount_array(values)
+
+
+def _golden_popcount(values):
+    """Element-wise ``bin(v).count("1")`` — the popcount golden model."""
+    return np.array([bin(int(v)).count("1") for v in values.flat],
+                    dtype=np.int64).reshape(values.shape)
 
 
 def _constrained_weights(shape, bits, aset, rng=RNG):
