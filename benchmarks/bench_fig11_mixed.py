@@ -2,23 +2,27 @@
 
 from conftest import emit
 
-from repro.experiments.mixed import format_figure11_table, run_figure11_app
+from repro.experiments import EXPERIMENTS, format_figure11_table
+from repro.pipeline import run_pipeline
 
 
 def test_fig11_mixed_mnist(benchmark):
-    rows = benchmark.pedantic(lambda: run_figure11_app("mnist_mlp"),
-                              rounds=1, iterations=1)
+    config = EXPERIMENTS["fig11"].configs[0]
+    assert config.app == "mnist_mlp"
+    report = benchmark.pedantic(lambda: run_pipeline(config),
+                                rounds=1, iterations=1)
     emit("fig11", format_figure11_table(
-        {"mnist_mlp": rows},
+        [report],
         "Fig 11 - mixed-alphabet accuracy and energy (tiny budget)"))
 
-    by_label = {row.deployment: row for row in rows}
-    assert set(by_label) == {"conventional", "all {1}", "mixed"}
-    conv, man, mixed = (by_label["conventional"], by_label["all {1}"],
-                        by_label["mixed"])
+    assert set(report.config.designs) == {"conventional", "asm1", "mixed"}
+    accuracy = {d: report.evaluate.row_for(d).accuracy
+                for d in report.config.designs}
+    energy = {d: report.energy.row_for(d).energy_nj
+              for d in report.config.designs}
     # energy: man < mixed << conventional; the mixed overhead is tiny
-    assert man.energy_nj < mixed.energy_nj < conv.energy_nj
-    assert mixed.energy_nj / man.energy_nj < 1.05
+    assert energy["asm1"] < energy["mixed"] < energy["conventional"]
+    assert energy["mixed"] / energy["asm1"] < 1.05
     # accuracy: mixed recovers to within noise of the conventional baseline
-    assert mixed.accuracy >= man.accuracy - 0.05
-    assert mixed.accuracy >= conv.accuracy - 0.10
+    assert accuracy["mixed"] >= accuracy["asm1"] - 0.05
+    assert accuracy["mixed"] >= accuracy["conventional"] - 0.10

@@ -2,16 +2,17 @@
 
 from conftest import TINY, emit
 
-from repro.experiments.accuracy import format_accuracy_table, run_accuracy_grid
+from repro.experiments import EXPERIMENTS, format_accuracy_table
+from repro.pipeline import run_pipeline
 
 
 def test_table2_face_accuracy(benchmark):
-    grid = benchmark.pedantic(
-        lambda: run_accuracy_grid("face", budget_override=TINY),
-        rounds=1, iterations=1)
+    config = EXPERIMENTS["table2"].configs[0].with_overrides(budget=TINY)
+    report = benchmark.pedantic(lambda: run_pipeline(config),
+                                rounds=1, iterations=1)
     emit("table2", format_accuracy_table(
-        grid, "Table II - NN accuracy, face detection (tiny budget)"))
+        report, "Table II - NN accuracy, face detection (tiny budget)"))
     # paper shape: conventional row first, losses small on this easy task
-    assert grid.baseline.num_alphabets is None
-    assert grid.baseline.accuracy > 0.7
-    assert grid.max_loss < 0.15
+    assert report.evaluate.rows[0].design == "conventional"
+    assert report.quantize.baseline_accuracy > 0.7
+    assert max(row.loss for row in report.evaluate.rows) < 0.15

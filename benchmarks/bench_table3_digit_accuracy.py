@@ -2,15 +2,17 @@
 
 from conftest import TINY, emit
 
-from repro.experiments.accuracy import format_accuracy_table, run_accuracy_grid
+from repro.experiments import EXPERIMENTS, format_accuracy_table
+from repro.pipeline import run_pipeline
 
 
 def test_table3_digit_accuracy(benchmark):
-    grid = benchmark.pedantic(
-        lambda: run_accuracy_grid("mnist_mlp", budget_override=TINY),
-        rounds=1, iterations=1)
+    config = EXPERIMENTS["table3"].configs[0].with_overrides(budget=TINY)
+    assert config.app == "mnist_mlp"
+    report = benchmark.pedantic(lambda: run_pipeline(config),
+                                rounds=1, iterations=1)
     emit("table3", format_accuracy_table(
-        grid, "Table III - digit recognition, 8-bit MLP (tiny budget)"))
-    assert grid.baseline.accuracy > 0.6
+        report, "Table III - digit recognition, 8-bit MLP (tiny budget)"))
+    assert report.quantize.baseline_accuracy > 0.6
     # retrained ASM rows stay close to the conventional baseline
-    assert grid.max_loss < 0.15
+    assert max(row.loss for row in report.evaluate.rows) < 0.15

@@ -9,10 +9,8 @@ Run:  python examples/face_detection.py [--full]
 
 import argparse
 
-from repro.experiments.accuracy import (
-    format_accuracy_table,
-    run_accuracy_grid,
-)
+from repro.experiments import EXPERIMENTS, format_accuracy_table
+from repro.pipeline import run_pipeline
 
 
 def main() -> None:
@@ -21,10 +19,12 @@ def main() -> None:
                         help="paper-scale training budget")
     args = parser.parse_args()
 
+    grid = EXPERIMENTS["table2"].configs[0]
     for bits in (8, 12):
-        grid = run_accuracy_grid("face", bits=bits, full=args.full, seed=0)
+        report = run_pipeline(grid.with_overrides(
+            bits=bits, budget="full" if args.full else "quick"))
         print(format_accuracy_table(
-            grid, f"Table II - face detection, {bits}-bit synapses"))
+            report, f"Table II - face detection, {bits}-bit synapses"))
         print()
 
     print("paper reference (Table II): 12-bit losses 0.12 / 0.19 / 0.24 %")

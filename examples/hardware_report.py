@@ -8,13 +8,14 @@ Run:  python examples/hardware_report.py
 """
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
-from repro.experiments.energy import format_energy_table, run_figure9
+from repro.experiments import EXPERIMENTS, format_energy_table
 from repro.experiments.power_area import (
     format_hardware_table,
     run_figure8,
     run_figure10,
 )
 from repro.hardware import make_neuron
+from repro.pipeline import run_pipeline
 
 
 def main() -> None:
@@ -32,7 +33,9 @@ def main() -> None:
     print(format_hardware_table(run_figure10(), ""))
     print()
     print("=== Fig. 9: per-inference energy (all five applications) ===")
-    print(format_energy_table(run_figure9(), ""))
+    reports = [run_pipeline(config)
+               for config in EXPERIMENTS["fig9"].configs]
+    print(format_energy_table(reports, ""))
 
 
 if __name__ == "__main__":

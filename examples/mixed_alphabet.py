@@ -12,8 +12,9 @@ import argparse
 
 from repro.asm.alphabet import ALPHA_1
 from repro.datasets import build_model
-from repro.experiments.mixed import run_figure11_app
+from repro.experiments import EXPERIMENTS, FIGURE11_DEPLOYMENTS
 from repro.hardware.engine import ProcessingEngine
+from repro.pipeline import run_pipeline
 
 
 def main() -> None:
@@ -31,18 +32,24 @@ def main() -> None:
     print(f"{args.app}: last {tail} layer(s) use {share * 100:.2f}% of "
           f"processing cycles (paper quotes 3.84% for SVHN)\n")
 
-    rows = run_figure11_app(args.app, full=args.full, seed=0)
+    config = next(c for c in EXPERIMENTS["fig11"].configs
+                  if c.app == args.app)
+    report = run_pipeline(config.with_overrides(
+        budget="full" if args.full else "quick"))
     print(f"{'deployment':15s} {'accuracy':>9s} {'energy (nJ)':>12s} "
           f"{'vs conv':>8s}")
-    for row in rows:
-        print(f"{row.deployment:15s} {row.accuracy * 100:8.2f}% "
-              f"{row.energy_nj:12.1f} {row.normalized_energy:8.3f}")
+    for design, deployment in FIGURE11_DEPLOYMENTS:
+        accuracy = report.evaluate.row_for(design).accuracy
+        energy = report.energy.row_for(design)
+        print(f"{deployment:15s} {accuracy * 100:8.2f}% "
+              f"{energy.energy_nj:12.1f} {energy.normalized:8.3f}")
 
-    man = next(r for r in rows if r.deployment == "all {1}")
-    mixed = next(r for r in rows if r.deployment == "mixed")
+    man, mixed = (report.evaluate.row_for(d) for d in ("asm1", "mixed"))
+    man_nj, mixed_nj = (report.energy.row_for(d).energy_nj
+                        for d in ("asm1", "mixed"))
     print(f"\nmixed vs all-{{1}}: {(mixed.accuracy - man.accuracy) * 100:+.2f}"
           f" accuracy points for "
-          f"{(mixed.energy_nj / man.energy_nj - 1) * 100:+.2f}% energy")
+          f"{(mixed_nj / man_nj - 1) * 100:+.2f}% energy")
 
 
 if __name__ == "__main__":

@@ -46,8 +46,8 @@ Subpackages
     accuracy/energy/area/delay, frontier export into the serving
     registry.
 ``repro.experiments``
-    Thin table-formatters over pipeline reports, reproducing every table
-    and figure of the paper.
+    One table mapping every table and figure of the paper to the
+    pipeline configs it needs and a formatter over their reports.
 ``repro.serving``
     Deployment stack: versioned compiled-model artifacts, a multi-model
     registry, dynamic micro-batching and an HTTP inference server that

@@ -114,13 +114,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.json:
                 print(f"\n[wrote {report.save(args.json)}]")
             return 0
-        results = run_pipeline_jobs(configs, stages=stages,
+        reports = run_pipeline_jobs(configs, stages=stages,
                                     resume=not args.no_resume,
                                     jobs=args.jobs)
-        print("\n\n".join(result["text"] for result in results))
+        print("\n\n".join(format_report(report) for report in reports))
         if args.json:
-            path = write_json(args.json,
-                              {"reports": [r["report"] for r in results]})
+            path = write_json(args.json, {"reports": [
+                report.to_dict() for report in reports]})
             print(f"\n[wrote {path}]")
     except (PipelineConfigError, StageError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -131,13 +131,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import EXPERIMENTS, execute
+    from repro.experiments import EXPERIMENTS, execute
+    from repro.pipeline.stages import StageError
 
-    names = EXPERIMENTS if args.name == "all" else (args.name,)
+    names = tuple(EXPERIMENTS) if args.name == "all" else (args.name,)
     try:
         return execute(names, full=args.full, seed=args.seed,
                        write_results=args.json, jobs=args.jobs)
-    except ValueError as error:
+    except (PipelineConfigError, StageError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
@@ -418,7 +419,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.datasets.registry import BENCHMARKS
-    from repro.experiments.runner import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS
     from repro.explore.journal import list_journals
     from repro.pipeline.pipeline import list_cached_runs
 
@@ -483,11 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ignore cached stage results")
     run.add_argument("--full", action="store_true",
                      help="override the budget to the paper-scale tier")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the configs' seed")
-    run.add_argument("--seeds", default=None, metavar="S1,S2,...",
-                     help="fan each config out over several seeds "
-                          "(combine with --jobs)")
+    seed = run.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the configs' seed")
+    seed.add_argument("--seeds", default=None, metavar="S1,S2,...",
+                      help="fan each config out over several seeds "
+                           "(combine with --jobs)")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes for multi-config/seed runs")
     run.add_argument("--json", default=None, metavar="PATH",

@@ -1,6 +1,6 @@
 """Seeded synthetic stand-ins for the paper's four datasets.
 
-See DESIGN.md §4 for the substitution rationale: the paper's claims are
+The substitution rationale: the paper's claims are
 relative (constrained vs unconstrained training on the same data), and the
 generators preserve the difficulty ordering faces < MNIST < TICH < SVHN.
 """

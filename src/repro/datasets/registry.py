@@ -2,9 +2,9 @@
 
 Each :class:`BenchmarkSpec` couples a dataset generator with a model
 builder whose layer/neuron/synapse counts match Table IV exactly (the
-hidden sizes were reconstructed from the published totals — see DESIGN.md
-§3).  ``build_model`` / ``load_dataset`` are the only entry points the
-experiment drivers use, so swapping in the real MNIST/SVHN data later is a
+hidden sizes were reconstructed from the published totals).
+``build_model`` / ``load_dataset`` are the only entry points the
+pipeline uses, so swapping in the real MNIST/SVHN data later is a
 one-file change.
 """
 

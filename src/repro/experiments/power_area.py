@@ -3,7 +3,7 @@
 Pure model evaluations — no training involved.  Values are normalised to
 the conventional neuron of the same word width, exactly like the paper's
 bar charts, and the paper's reported values ride along for side-by-side
-reporting in EXPERIMENTS.md.
+reporting in the printed tables.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ pipeline work out over processes:
 * :func:`run_candidates` — evaluate a list of candidate
   :class:`PipelineConfig`s (the explorer's hot path), journaling each
   result as it lands;
-* :func:`run_pipeline_jobs` / :func:`run_experiment_jobs` — the
-  ``--jobs`` flag of ``repro run`` and ``repro experiment``.
+* :func:`run_pipeline_jobs` — the ``--jobs`` flag of ``repro run`` and
+  ``repro experiment``.
 
 Determinism: workers only *compute*; the parent process owns the journal
 and the result ordering (records are keyed by candidate config digest
@@ -21,7 +21,6 @@ identical bytes).
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import time
 from collections.abc import Callable, Sequence
@@ -37,7 +36,7 @@ from repro.pipeline.report import PipelineReport
 
 __all__ = ["RECORD_FORMAT", "CandidateTimeout", "metrics_from_report",
            "evaluate_candidate", "run_candidates", "pool_map",
-           "run_pipeline_jobs", "run_experiment_jobs"]
+           "run_pipeline_jobs"]
 
 #: Metric keys every candidate record carries (the Pareto axes).
 METRIC_KEYS = ("accuracy", "accuracy_loss", "energy_nj",
@@ -366,44 +365,19 @@ def run_candidates(configs: Sequence[PipelineConfig],
 
 
 # ----------------------------------------------------------------------
-# generic pipeline / experiment fan-out (the CLI --jobs flag)
+# generic pipeline fan-out (the CLI --jobs flag)
 # ----------------------------------------------------------------------
-def _pipeline_job(payload) -> tuple[int, dict]:
-    from repro.pipeline.report import format_report
-
+def _pipeline_job(payload) -> tuple[int, PipelineReport]:
     index, config_dict, stages, resume = payload
     config = PipelineConfig.from_dict(config_dict)
-    report = Pipeline(config).run(stages=stages, resume=resume)
-    return index, {"config_digest": config.digest(),
-                   "text": format_report(report),
-                   "report": report.to_dict()}
+    return index, Pipeline(config).run(stages=stages, resume=resume)
 
 
 def run_pipeline_jobs(configs: Sequence[PipelineConfig],
                       stages: tuple[str, ...] | None = None,
-                      resume: bool = True, jobs: int = 1) -> list[dict]:
-    """Run several pipeline configs, each returning its formatted report."""
+                      resume: bool = True,
+                      jobs: int = 1) -> list[PipelineReport]:
+    """Run several pipeline configs, returning their reports in order."""
     payloads = [(index, config.to_dict(), stages, resume)
                 for index, config in enumerate(configs)]
     return pool_map(_pipeline_job, payloads, jobs)
-
-
-def _experiment_job(payload) -> tuple[int, dict]:
-    from repro.experiments.runner import run_experiment
-    from repro.utils.serialization import write_json
-
-    index, name, full, seed, write_results = payload
-    text, result = run_experiment(name, full=full, seed=seed)
-    path = None
-    if write_results:
-        path = write_json(os.path.join("results", f"{name}.json"), result)
-    return index, {"name": name, "text": text, "path": path}
-
-
-def run_experiment_jobs(names: Sequence[str], full: bool = False,
-                        seed: int = 0, write_results: bool = False,
-                        jobs: int = 1) -> list[dict]:
-    """Run several named experiments, each returning its printable text."""
-    payloads = [(index, name, full, seed, write_results)
-                for index, name in enumerate(names)]
-    return pool_map(_experiment_job, payloads, jobs)

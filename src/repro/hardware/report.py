@@ -1,8 +1,8 @@
 """Plain-text report tables for hardware comparisons.
 
-Every experiment driver renders through these helpers so that benchmark
-output, example scripts and EXPERIMENTS.md all show the same table shapes
-the paper uses (values normalised to the conventional design).
+Every experiment renders through these helpers so that ``repro
+experiment``, benchmark output and example scripts all show the same
+table shapes the paper uses (values normalised to the conventional design).
 """
 
 from __future__ import annotations

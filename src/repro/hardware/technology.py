@@ -9,7 +9,7 @@ and costed with 45 nm-class per-gate constants.
 The absolute numbers below are representative of a commercial 45 nm standard
 cell library at nominal voltage (NAND2 ~1 µm², FO4 ~15-20 ps, ~0.5 fJ per
 switching event) — close enough for the *relative* comparisons the paper
-reports, which is all we claim to reproduce (see DESIGN.md §4).
+reports, which is all we claim to reproduce.
 """
 
 from __future__ import annotations

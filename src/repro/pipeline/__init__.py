@@ -6,8 +6,8 @@ describes a whole run of the paper's methodology; :class:`Pipeline`
 executes it as named, individually-runnable, cacheable stages
 (``train``, ``quantize``, ``constrain``, ``evaluate``, ``energy``,
 ``export``, ``serve-check``) and returns a :class:`PipelineReport`.
-The legacy experiment drivers in :mod:`repro.experiments` are thin
-table-formatters over these reports; new scenarios are config files
+The paper's tables and figures (:mod:`repro.experiments`) are configs
+plus formatters over these reports; new scenarios are config files
 (see ``docs/pipeline.md``), not new driver modules.
 
 >>> from repro.pipeline import PipelineConfig

@@ -1,9 +1,9 @@
 """The :class:`PipelineReport` — one serialisable record per pipeline run.
 
 Collects every stage's typed result plus the config that produced them.
-Serialisation goes through :func:`repro.utils.serialization.to_jsonable`
-(shared with the experiment runner), so a report is one ``json.dump`` away
-from disk and the legacy drivers can format tables straight off it.
+Serialisation goes through :func:`repro.utils.serialization.to_jsonable`,
+so a report is one ``json.dump`` away from disk, and
+:mod:`repro.experiments` formats the paper's tables straight off it.
 """
 
 from __future__ import annotations

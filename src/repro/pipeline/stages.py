@@ -7,9 +7,9 @@ reconstructible from their JSON form (:func:`result_from_payload`), and
 weight states round-trip through ``.npz`` files bit-exactly — a resumed
 pipeline produces the same numbers as a cold one.
 
-The stage bodies reproduce the exact operation sequences of the legacy
-``repro.experiments`` drivers (same trainer construction, same projector,
-same quantisation calls), which is what makes the re-expressed drivers'
+The stage bodies reproduce the exact operation sequences of the
+pre-pipeline experiment drivers (same trainer construction, same
+projector, same quantisation calls), which is what keeps the paper's
 tables bit-identical to their pre-pipeline output.
 """
 

@@ -1,8 +1,8 @@
 """Serving stack: compiled artifacts, model registry, batching, HTTP front end.
 
-The experiment drivers in :mod:`repro.experiments` train, constrain and
-evaluate networks in one shot; this package turns the result into a
-deployable artifact and serves it:
+The :mod:`repro.pipeline` stages train, constrain and evaluate networks
+in one shot; this package turns the result into a deployable artifact
+and serves it:
 
 ``repro.serving.artifact``
     Versioned on-disk bundle (``manifest.json`` + ``arrays.npz``) holding a

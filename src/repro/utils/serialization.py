@@ -1,8 +1,7 @@
 """JSON-friendly serialization of result objects.
 
-One dataclass-walking converter shared by the experiment runner's
-``--json`` output and the pipeline's :class:`~repro.pipeline.report.
-PipelineReport` (both used to hand-roll their own copy).  The goal is
+One dataclass-walking converter shared by every ``--json`` writer and
+the pipeline's :class:`~repro.pipeline.report.PipelineReport`.  The goal is
 *fidelity*, not schema: dataclasses become dicts, tuples become lists,
 numpy scalars/arrays become their Python equivalents, and anything else
 passes through for ``json.dump(..., default=str)`` to finish off.

@@ -284,7 +284,7 @@ class TestGenerators:
 
 
 class TestDifficultyOrdering:
-    """The substitution contract (DESIGN.md §4): faces < mnist < svhn in
+    """The substitution contract: faces < mnist < svhn in
     difficulty, measured by a small fixed-budget classifier."""
 
     @staticmethod

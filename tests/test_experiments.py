@@ -1,20 +1,22 @@
-"""Integration tests for the experiment drivers (tiny budgets)."""
+"""Integration tests for the experiment table (tiny budgets)."""
 
-import numpy as np
 import pytest
 
-from repro.experiments.accuracy import (
-    AccuracyGrid,
+from repro.experiments import (
+    EXPERIMENTS,
+    FIGURE9_GROUPS,
+    execute,
+    experiment_configs,
     format_accuracy_table,
-    run_accuracy_grid,
+    format_energy_table,
 )
-from repro.experiments.energy import FIGURE9_GROUPS, run_figure9
 from repro.experiments.power_area import (
     PAPER_VALUES,
     run_figure8,
     run_figure10,
 )
 from repro.experiments.tables import table1_rows, table4_rows, table5_rows
+from repro.pipeline import run_pipeline
 from repro.pipeline.config import QUICK, Budget, budget
 
 TINY = Budget("tiny", n_train=250, n_test=120, max_epochs=3,
@@ -70,50 +72,58 @@ class TestHardwareFigures:
 
 
 class TestFig9:
-    def test_all_groups_covered(self):
-        rows = run_figure9()
-        assert {row.group for row in rows} == set(FIGURE9_GROUPS)
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return [run_pipeline(config)
+                for config in EXPERIMENTS["fig9"].configs]
 
-    def test_four_designs_per_app(self):
-        rows = run_figure9()
-        apps = {row.app for row in rows}
-        for app in apps:
-            assert sum(1 for r in rows if r.app == app) == 4
+    def test_all_groups_covered(self, reports):
+        assert {report.config.app for report in reports} == {
+            app for apps in FIGURE9_GROUPS.values() for app in apps}
+        text = format_energy_table(reports, "demo")
+        for group in FIGURE9_GROUPS:
+            assert group in text
 
-    def test_normalization_consistent(self):
-        rows = run_figure9()
-        for row in rows:
-            if row.design == "conventional":
-                assert row.normalized == pytest.approx(1.0)
-            else:
-                assert row.normalized < 1.0
+    def test_four_designs_per_app(self, reports):
+        for report in reports:
+            assert len(report.energy.rows) == 4
+
+    def test_normalization_consistent(self, reports):
+        for report in reports:
+            for row in report.energy.rows:
+                if row.design == "conventional":
+                    assert row.normalized == pytest.approx(1.0)
+                else:
+                    assert row.normalized < 1.0
 
 
 class TestAccuracyGrid:
     @pytest.fixture(scope="class")
     def face_grid(self):
-        return run_accuracy_grid("face", budget_override=TINY, seed=0)
+        config = EXPERIMENTS["table2"].configs[0]
+        return run_pipeline(config.with_overrides(budget=TINY, seed=0))
 
     def test_row_structure(self, face_grid):
-        assert isinstance(face_grid, AccuracyGrid)
-        assert [r.num_alphabets for r in face_grid.rows] == [None, 4, 2, 1]
+        assert face_grid.config.app == "face"
+        assert [r.design for r in face_grid.evaluate.rows] == [
+            "conventional", "asm4", "asm2", "asm1"]
 
     def test_baseline_loss_zero(self, face_grid):
-        assert face_grid.baseline.loss == 0.0
+        assert face_grid.evaluate.row_for("conventional").loss == 0.0
 
     def test_row_lookup(self, face_grid):
-        assert face_grid.row_for(2).num_alphabets == 2
+        assert face_grid.evaluate.row_for("asm2").design == "asm2"
         with pytest.raises(KeyError):
-            face_grid.row_for(3)
+            face_grid.evaluate.row_for("asm3")
 
     def test_accuracies_valid(self, face_grid):
-        for row in face_grid.rows:
+        for row in face_grid.evaluate.rows:
             assert 0.0 <= row.accuracy <= 1.0
 
     def test_losses_consistent(self, face_grid):
-        for row in face_grid.rows[1:]:
-            assert row.loss == pytest.approx(
-                face_grid.baseline.accuracy - row.accuracy)
+        baseline = face_grid.quantize.baseline_accuracy
+        for row in face_grid.evaluate.rows[1:]:
+            assert row.loss == pytest.approx(baseline - row.accuracy)
 
     def test_format_table(self, face_grid):
         text = format_accuracy_table(face_grid, "demo")
@@ -121,22 +131,41 @@ class TestAccuracyGrid:
         assert "1 {1}" in text
 
     def test_custom_bits_override(self):
-        grid = run_accuracy_grid("face", bits=8, budget_override=TINY,
-                                 alphabet_counts=(1,), seed=0)
-        assert grid.bits == 8
-        assert len(grid.rows) == 2
+        config = EXPERIMENTS["table2"].configs[0].with_overrides(
+            bits=8, designs=("conventional", "asm1"), budget=TINY, seed=0)
+        report = run_pipeline(config)
+        assert report.quantize.bits == 8
+        assert len(report.evaluate.rows) == 2
+        assert "8 bits" in format_accuracy_table(report, "demo")
+
+
+class TestSharedConfigs:
+    """Experiments sharing a config share one run (no training here)."""
+
+    def test_accuracy_grids_dedupe(self):
+        assert len(experiment_configs(("table2", "table3", "fig7"))) == 5
+
+    def test_all_resolves_to_distinct_configs(self):
+        assert len(experiment_configs(tuple(EXPERIMENTS))) == 14
+
+    def test_full_and_seed_override_every_config(self):
+        configs = experiment_configs(tuple(EXPERIMENTS), full=True, seed=3)
+        assert len(configs) == 14
+        assert {(c.budget, c.seed) for c in configs} == {("full", 3)}
+
+    def test_hardware_only_experiments_need_no_configs(self):
+        assert experiment_configs(
+            ("table1", "table4", "table5", "fig8", "fig10")) == []
 
 
 class TestRunnerEntryPoints:
-    def test_run_experiment_table1(self):
-        from repro.experiments.runner import run_experiment
-        text, _ = run_experiment("table1")
-        assert "1001" in text
+    def test_run_experiment_table1(self, capsys):
+        assert execute(("table1",)) == 0
+        assert "1001" in capsys.readouterr().out
 
     def test_run_experiment_unknown(self):
-        from repro.experiments.runner import run_experiment
         with pytest.raises(ValueError):
-            run_experiment("fig99")
+            experiment_configs(("fig99",))
 
     def test_runner_list(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
@@ -146,7 +175,6 @@ class TestRunnerEntryPoints:
         assert "fig7" in out and "table4" in out
 
     def test_runner_single_experiment(self, capsys):
-        from repro.experiments.runner import execute
         assert execute(("table5",)) == 0
         assert "45nm" in capsys.readouterr().out
 
@@ -155,3 +183,16 @@ class TestRunnerEntryPoints:
         monkeypatch.chdir(tmp_path)
         assert main(["experiment", "fig8", "--json"]) == 0
         assert (tmp_path / "results" / "fig8.json").exists()
+
+    def test_unwritable_results_is_a_clean_error(self, tmp_path,
+                                                  monkeypatch, capsys):
+        from repro.cli import main
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results").write_text("not a directory")
+        assert main(["experiment", "fig8", "--json"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_experiment_is_a_clean_error(self, capsys):
+        from repro.cli import main
+        assert main(["experiment", "fig99"]) == 1
+        assert "unknown experiment 'fig99'" in capsys.readouterr().err

@@ -514,6 +514,17 @@ class TestExploreCLI:
         assert len(data["reports"]) == 2
         assert [r["config"]["seed"] for r in data["reports"]] == [0, 1]
 
+    def test_run_seed_and_seeds_are_exclusive(self, tmp_path, capsys):
+        from repro.cli import main
+
+        config = PipelineConfig(app="face", designs=("asm1",),
+                                stages=("energy",), budget=TINY)
+        path = config.save(str(tmp_path / "cfg.json"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", path, "--seed", "3", "--seeds", "0,1"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 def _run_config_dict(config_dict: dict) -> dict:
     """Top-level helper for the concurrent-writers test (picklable)."""

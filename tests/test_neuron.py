@@ -1,8 +1,7 @@
 """Tests for neuron datapath designs and the iso-speed comparisons.
 
 The classes under ``TestPaperFig8`` / ``TestPaperFig10`` assert the paper's
-headline hardware claims hold in the model, with tolerances documented in
-EXPERIMENTS.md.
+headline hardware claims hold in the model.
 """
 
 import pytest

@@ -493,7 +493,7 @@ class TestLegacyEquivalence:
         from repro.asm.alphabet import standard_set
         from repro.datasets.registry import (
             BENCHMARKS, build_model, load_dataset, training_arrays)
-        from repro.experiments.accuracy import run_accuracy_grid
+        from repro.experiments import EXPERIMENTS
         from repro.nn.optim import SGD
         from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
         from repro.nn.trainer import Trainer
@@ -532,10 +532,14 @@ class TestLegacyEquivalence:
                 spec.bits, alphabet_set)).accuracy(
                     x_test, dataset.y_test)
 
-        grid = run_accuracy_grid(app, alphabet_counts=(count,),
-                                 budget_override=TINY_BUDGET, seed=seed)
-        assert grid.baseline.accuracy == baseline
-        assert grid.row_for(count).accuracy == constrained_accuracy
+        grid = EXPERIMENTS["table2"].configs[0]
+        assert grid.app == app
+        report = run_pipeline(grid.with_overrides(
+            designs=("conventional", f"asm{count}"), budget=TINY_BUDGET,
+            seed=seed))
+        assert report.quantize.baseline_accuracy == baseline
+        assert report.evaluate.row_for(f"asm{count}").accuracy == \
+            constrained_accuracy
 
 
 class TestLadderDesign:
