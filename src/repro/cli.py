@@ -236,7 +236,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.obs.merge import find_shards, merge_trace, write_merged_trace
     from repro.obs.stats import (
         TraceError,
         diff_traces,
@@ -253,8 +252,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                   "positional argument", file=sys.stderr)
             return 2
         try:
-            trace_a = merge_trace(args.diff[0])
-            trace_b = merge_trace(args.diff[1])
+            trace_a = load_trace(args.diff[0])
+            trace_b = load_trace(args.diff[1])
         except (TraceError, OSError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
@@ -270,19 +269,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        shards = find_shards(args.trace)
-        if shards:
-            trace = merge_trace(args.trace, shards)
-        else:
-            trace = load_trace(args.trace)
+        trace = load_trace(args.trace)
     except (TraceError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     meta = trace.meta
-    sharded = f", {len(shards)} worker shard(s) merged" if shards else ""
     print(f"trace: {args.trace} (format {meta['format']}, "
           f"repro {meta.get('repro_version', '?')}, "
-          f"{len(trace.events)} spans{sharded})")
+          f"{len(trace.events)} spans)")
     if trace.dropped:
         print(f"note: {trace.dropped} span(s) dropped past the in-memory "
               f"cap (MAX_KEPT_SPANS)")
@@ -291,9 +285,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not args.no_metrics:
         print()
         print(format_metric_table(trace))
-    if args.merge:
-        path = write_merged_trace(args.trace, args.merge, shards)
-        print(f"\n[wrote merged trace {path}]")
     if args.chrome:
         path = write_chrome_trace(trace, args.chrome)
         print(f"\n[wrote Chrome trace {path}; open via chrome://tracing "
@@ -546,9 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the ExplorationReport to PATH")
     explore.add_argument("--trace", default=None, metavar="PATH",
                          help="record a repro.obs span/metrics trace to "
-                              "PATH; forked workers write "
-                              "PATH.shard-N.jsonl files that `repro "
-                              "stats PATH` merges back into one tree")
+                              "PATH; workers ship their spans and "
+                              "counters back into this one file")
     explore.add_argument("--quiet", action="store_true",
                          help="suppress per-candidate progress lines")
     explore.set_defaults(func=_cmd_explore)
@@ -595,14 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     stats = sub.add_parser(
-        "stats", help="render a --trace file (worker shards merged in): "
-                      "span tree, metric table, trace diffing, optional "
-                      "Chrome trace export")
+        "stats", help="render a --trace file: span tree, metric table, "
+                      "trace diffing, optional Chrome trace export")
     stats.add_argument("trace", nargs="?", default=None,
                        help="path to a repro-trace JSONL file (from repro "
-                            "run/explore --trace); any "
-                            "<trace>.shard-N.jsonl worker shards next to "
-                            "it are merged automatically")
+                            "run/explore --trace)")
     stats.add_argument("--diff", nargs=2, default=None,
                        metavar=("A.jsonl", "B.jsonl"),
                        help="instead of rendering one trace, align two "
@@ -616,9 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="limit the span tree to N levels")
     stats.add_argument("--no-metrics", action="store_true",
                        help="skip the metric table")
-    stats.add_argument("--merge", default=None, metavar="OUT.jsonl",
-                       help="also write the shard-merged trace as one "
-                            "unified repro-trace/1 file")
     stats.add_argument("--chrome", default=None, metavar="OUT.json",
                        help="also convert the spans to a Chrome "
                             "trace-event JSON file for chrome://tracing")

@@ -101,10 +101,10 @@ def pool_map(fn: Callable, payloads: Sequence, jobs: int,
     the completion order.  ``on_result`` (if given) sees each
     ``(index, value)`` as it completes — the journaling hook.
 
-    Under a traced parent (``--trace``), fork-start workers keep tracing
-    into per-worker shard files (:mod:`repro.obs.shard`); ``repro stats``
-    merges them back under the parent's ``explore.map`` span.  Tracing
-    never touches the values workers return, so journals stay
+    Under a traced parent (``--trace``), each worker traces its task in
+    memory and ships the spans and counters back with the value
+    (:func:`repro.obs.shipping`); the parent files them under its open
+    span.  Tracing never touches the values, so journals stay
     bit-identical between traced and untraced runs.
     """
     results: dict[int, object] = {}
@@ -115,9 +115,12 @@ def pool_map(fn: Callable, payloads: Sequence, jobs: int,
                 on_result((index, value))
             results[index] = value
     else:
+        traced = obs.enabled()
+        task = obs.shipping(fn) if traced else fn
         ctx = _pool_context()
         with ctx.Pool(processes=min(jobs, len(payloads))) as pool:
-            for index, value in pool.imap_unordered(fn, payloads):
+            for item in pool.imap_unordered(task, payloads):
+                index, value = obs.adopt(item) if traced else item
                 if on_result is not None:
                     on_result((index, value))
                 results[index] = value

@@ -28,7 +28,9 @@ overhead on the kernels micro-bench (``BENCH_obs.json``,
 
 or from the CLI: ``repro run cfg.json --trace out.jsonl`` /
 ``repro explore space.toml --trace out.jsonl``, then render with
-``repro stats out.jsonl``.
+``repro stats out.jsonl``.  A traced worker pool ships each task's spans
+and counters back to the parent (:func:`shipping` / :func:`adopt`), so
+one trace file covers a ``--jobs N`` run.
 
 The serving stack's :class:`~repro.serving.metrics.ServingMetrics` is
 always on; it owns a private :class:`MetricsRegistry` rather than the
@@ -41,8 +43,10 @@ Metric names and the span naming convention are documented in
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
+from collections.abc import Callable
 
 from repro.obs.metrics import (
     DEFAULT_WINDOW,
@@ -67,16 +71,14 @@ __all__ = [
     "DEFAULT_WINDOW", "prometheus_name", "escape_label_value",
     "Span", "Tracer", "TRACE_FORMAT", "MAX_KEPT_SPANS",
     "enable", "disable", "enabled", "span", "registry", "tracer",
-    "spans", "record_kernel", "reset",
+    "spans", "record_kernel", "reset", "shipping", "adopt",
 ]
 
 
 class _State:
     """Process-global switch + the objects it guards."""
 
-    # __weakref__: multiprocessing's register_after_fork keeps its
-    # subjects in a WeakValueDictionary
-    __slots__ = ("enabled", "tracer", "registry", "__weakref__")
+    __slots__ = ("enabled", "tracer", "registry")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -101,8 +103,6 @@ def enable(trace_path: str | None = None) -> None:
             _STATE.tracer.close()
         _STATE.tracer = Tracer(trace_path)
         _STATE.enabled = True
-        if trace_path is not None:
-            _hook_multiprocessing_children()
 
 
 def disable() -> None:
@@ -177,87 +177,60 @@ def reset() -> None:
         _STATE.registry.clear()
 
 
-def _close_shard_at_exit(shard, registry: MetricsRegistry) -> None:
-    """Cleanly finish a worker shard when the child exits normally.
+def shipping(fn: Callable) -> Callable:
+    """Wrap pool task *fn* so a worker ships its trace back with it.
 
-    Pool teardown usually SIGTERMs workers (no ``atexit``), which is
-    fine — shards are line-buffered and valid without a closing line —
-    but a child that *does* exit cleanly gets its metrics snapshot.
-    Bypasses :func:`disable` on purpose: the module lock it takes was
-    inherited across fork and may be held forever.
+    The wrapped task runs *fn* in the worker under an in-memory tracer
+    on this process's epoch and a fresh registry, and returns
+    ``(result, span events, counter rows)``; the parent hands that to
+    :func:`adopt`.  Call only while :func:`enabled`.
     """
-    if _STATE.tracer is shard:
+    return functools.partial(_run_shipped, fn, _STATE.tracer.epoch)
+
+
+def _run_shipped(fn: Callable, epoch: float, payload):
+    tracer = Tracer(epoch=epoch)
+    tracer.events = []
+    registry = MetricsRegistry()
+    _STATE.tracer, _STATE.registry, _STATE.enabled = tracer, registry, True
+    try:
+        result = fn(payload)
+    finally:
         _STATE.enabled = False
         _STATE.tracer = None
-    shard.write_metrics(registry.to_dict(), dropped=shard.dropped)
-    shard.close()
+    counters = [row for row in registry.to_dict()
+                if row["kind"] == "counter"]
+    return result, tracer.events, counters
 
 
-_MP_HOOKED = False
+def adopt(shipped):
+    """Parent side of :func:`shipping`: file a worker task's trace.
 
-
-def _hook_multiprocessing_children() -> None:
-    """Arrange for multiprocessing children to finish their shards.
-
-    mp children skip ``atexit`` (``Process._bootstrap`` ends in
-    ``os._exit``) and clear the inherited finalizer registry *after* the
-    ``os.register_at_fork`` hooks ran — so the shard's closing metrics
-    line needs a finalizer registered from inside ``_run_after_forkers``,
-    which ``_bootstrap`` runs after that clear.  Registered once, from
-    the parent, at the first file-backed :func:`enable`.
+    The spans go under the span open on this thread; the counters are
+    added into this process's registry.  Returns the task's result.
     """
-    global _MP_HOOKED
-    if _MP_HOOKED:
-        return
-    from multiprocessing.util import Finalize, register_after_fork
-
-    def finalize_shard_at_exit(state: _State) -> None:
-        # runs in every mp child; only sharded children have work to do
-        shard = state.tracer
-        if state.enabled and shard is not None and \
-                getattr(shard, "shard_index", None) is not None:
-            Finalize(None, _close_shard_at_exit,
-                     args=(shard, state.registry), exitpriority=10)
-
-    register_after_fork(_STATE, finalize_shard_at_exit)
-    _MP_HOOKED = True
+    result, events, counters = shipped
+    if _STATE.tracer is not None:
+        _STATE.tracer.graft(events)
+    _STATE.registry.add_counters(counters)
+    return result
 
 
-def _shard_in_child() -> None:
-    """``after_in_child`` hook: re-point tracing at a worker shard.
+def _abandon_in_child() -> None:
+    """``after_in_child`` hook: a forked child runs untraced.
 
-    A child of a tracing, file-backed parent opens its own
-    ``<trace>.shard-<n>.jsonl`` (see :mod:`repro.obs.shard`) and keeps
-    instrumenting; its metrics start from a fresh registry so a clean
-    exit snapshots only child-side numbers.  A child of an in-memory
-    tracer still self-disables — it has no file to report into, and it
-    must never touch the parent's in-memory forest.  Locks are replaced,
-    not taken: any inherited lock may have been mid-acquire at fork.
+    It abandons the inherited trace file handle unflushed, so it never
+    writes the parent's file; pool workers trace through
+    :func:`shipping` instead.  Locks are replaced, not taken: any
+    inherited lock may have been mid-acquire at fork.
     """
     global _LOCK
     _LOCK = threading.Lock()
-    tracer = _STATE.tracer
-    if tracer is None:
-        return
-    if not _STATE.enabled or tracer.path is None:
-        _STATE.enabled = False
-        _STATE.tracer = None
-        return
-    import atexit
-
-    from repro.obs.shard import fork_shard
-
-    try:
-        shard = fork_shard(tracer)
-    except (OSError, RuntimeError):     # pragma: no cover - defensive
-        # a failed shard open must not break the worker: run dark instead
-        _STATE.enabled = False
-        _STATE.tracer = None
-        return
-    _STATE.tracer = shard
-    _STATE.registry = MetricsRegistry()
-    atexit.register(_close_shard_at_exit, shard, _STATE.registry)
+    if _STATE.tracer is not None:
+        _STATE.tracer.abandon()
+    _STATE.enabled = False
+    _STATE.tracer = None
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_shard_in_child)
+    os.register_at_fork(after_in_child=_abandon_in_child)

@@ -321,6 +321,17 @@ class MetricsRegistry:
         return self._get("histogram", name, labels,
                          lambda: Histogram(window=window))
 
+    def add_counters(self, rows: Iterable[dict]) -> None:
+        """Add counter rows of another registry's :meth:`to_dict`.
+
+        Each row's value lands on this registry's counter of the same
+        ``(name, labels)``: how a pool worker's counters reach its
+        parent, whose call sites already named them.
+        """
+        for row in rows:
+            self._get("counter", row["name"], row["labels"],
+                      Counter).inc(row["value"])
+
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Drop every metric (test isolation)."""

@@ -17,9 +17,10 @@
 
 The line schema is documented in :mod:`repro.obs.tracing` and
 ``docs/observability.md``; :func:`load_trace` validates it and raises
-:class:`TraceError` with the offending line number on any violation.
-Worker shards of a multi-process trace are stitched back in by
-:mod:`repro.obs.merge`.
+:class:`TraceError` with the offending line number on any violation,
+hostile bytes included.  A ``--jobs N`` run is one file: pool workers
+ship their spans back to the parent, which files them under its open
+span (:func:`repro.obs.adopt`).
 """
 
 from __future__ import annotations
@@ -34,9 +35,17 @@ __all__ = ["TraceError", "SpanNode", "TraceFile", "load_trace",
            "span_paths", "PathStats", "TraceDiff", "diff_traces",
            "format_trace_diff"]
 
-#: Keys every span line must carry (the documented schema).
-SPAN_KEYS = ("name", "id", "parent", "ph", "ts", "dur", "pid", "tid",
-             "cpu_ms", "rss_peak_kb", "args")
+_NUMBER = (int, float)
+
+#: Keys every span line must carry (the documented schema), and types.
+SPAN_KEYS = {"name": str, "id": int, "parent": (int, type(None)),
+             "ph": str, "ts": _NUMBER, "dur": _NUMBER, "pid": int,
+             "tid": int, "cpu_ms": _NUMBER, "rss_peak_kb": _NUMBER,
+             "args": dict}
+
+#: Value keys of a metrics-snapshot row, by metric kind.
+METRIC_VALUE_KEYS = {"counter": ("value",), "gauge": ("value",),
+                     "histogram": ("count", "mean", "p50", "p95", "p99")}
 
 
 class TraceError(ValueError):
@@ -83,39 +92,70 @@ def load_trace(path: str) -> TraceFile:
     events: list[dict] = []
     metrics: list[dict] = []
     dropped = 0
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+    ids: set[int] = set()
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
+                payload = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError) as error:
                 raise TraceError(
-                    f"{path}:{lineno}: not valid JSON: {error}") from None
+                    f"{where}: not valid UTF-8 JSON: {error}") from None
+            if not isinstance(payload, dict):
+                raise TraceError(f"{where}: a line must be a JSON object, "
+                                 f"got {type(payload).__name__}")
             kind = payload.get("type")
             if lineno == 1:
                 if kind != "meta" or payload.get("format") != TRACE_FORMAT:
                     raise TraceError(
                         f"{path}:1: expected a {TRACE_FORMAT!r} meta line, "
-                        f"got {line[:80]!r}")
+                        f"got {raw[:80]!r}")
                 meta = payload
             elif kind == "span":
-                missing = [key for key in SPAN_KEYS if key not in payload]
-                if missing:
-                    raise TraceError(
-                        f"{path}:{lineno}: span line missing {missing}")
+                _check_span(payload, ids, where)
                 events.append(payload)
             elif kind == "metrics":
-                metrics = payload.get("metrics", [])
+                metrics = _check_metrics(payload.get("metrics", []), where)
                 dropped = payload.get("dropped", 0)
+                if not isinstance(dropped, int):
+                    raise TraceError(f"{where}: 'dropped' must be an int")
             else:
                 raise TraceError(
-                    f"{path}:{lineno}: unknown line type {kind!r}")
+                    f"{where}: unknown line type {kind!r}")
     if meta is None:
         raise TraceError(f"{path}: empty trace file")
     return TraceFile(meta=meta, roots=_link(events), events=events,
                      metrics=metrics, dropped=dropped)
+
+
+def _check_span(event: dict, ids: set[int], where: str) -> None:
+    missing = [key for key in SPAN_KEYS if key not in event]
+    if missing:
+        raise TraceError(f"{where}: span line missing {missing}")
+    for key, kind in SPAN_KEYS.items():
+        if not isinstance(event[key], kind):
+            raise TraceError(f"{where}: span {key!r} has the wrong type "
+                             f"({type(event[key]).__name__})")
+    if event["id"] in ids:
+        raise TraceError(f"{where}: duplicate span id {event['id']}")
+    ids.add(event["id"])
+
+
+def _check_metrics(rows, where: str) -> list[dict]:
+    if not isinstance(rows, list):
+        raise TraceError(f"{where}: 'metrics' must be a list of rows")
+    for row in rows:
+        kind = row.get("kind") if isinstance(row, dict) else None
+        if not (isinstance(kind, str) and kind in METRIC_VALUE_KEYS
+                and isinstance(row.get("name"), str)
+                and isinstance(row.get("labels"), dict)
+                and all(isinstance(row.get(key), _NUMBER)
+                        for key in METRIC_VALUE_KEYS[kind])):
+            raise TraceError(f"{where}: malformed metrics row "
+                             f"{str(row)[:80]!r}")
+    return rows
 
 
 def _link(events: list[dict]) -> list[SpanNode]:

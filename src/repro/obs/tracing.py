@@ -30,14 +30,14 @@ out.json`` converts the span lines into the Chrome trace-event JSON
 array that ``chrome://tracing`` / Perfetto load directly (see
 ``docs/observability.md``).
 
-Fork safety: a forked child (the explore worker pool under the ``fork``
-start method) must not write to the parent's inherited file handle.  A
-child of a *file-backed* tracer re-opens its own shard file instead
-(``<trace>.shard-<n>.jsonl``, see :mod:`repro.obs.shard`) and the
-inherited parent handle is abandoned unflushed via :meth:`Tracer.abandon`;
-a child of an in-memory-only tracer still self-disables — it has nowhere
-to report spans to.  Both paths hang off ``os.register_at_fork`` in
-:mod:`repro.obs`.
+Fork safety: a forked child (a worker pool under the ``fork`` start
+method) must not write to the parent's inherited file handle, so an
+``os.register_at_fork`` hook in :mod:`repro.obs` abandons it unflushed
+(:meth:`Tracer.abandon`) and disables tracing in the child.  A traced
+pool worker instead records each task into an in-memory tracer on the
+parent's epoch (``events``) and returns the span events with its
+result; the parent files them under its open span with
+:meth:`Tracer.graft`, so one file holds the whole run.
 """
 
 from __future__ import annotations
@@ -187,8 +187,11 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Owns the span forest, the id counter and the trace file."""
 
-    def __init__(self, trace_path: str | None = None) -> None:
-        self.epoch = time.perf_counter()
+    def __init__(self, trace_path: str | None = None,
+                 epoch: float | None = None) -> None:
+        # a pool worker's tracer shares its parent's epoch: perf_counter
+        # is system-wide, so both land on one timeline
+        self.epoch = time.perf_counter() if epoch is None else epoch
         self.pid = os.getpid()
         self.roots: list[Span] = []
         self.dropped = 0
@@ -198,13 +201,15 @@ class Tracer:
         self._local = threading.local()
         self._file = None
         self._file_lock = threading.Lock()
+        #: finished span events, kept when set to a list (pool workers)
+        self.events: list[dict] | None = None
         self.path = trace_path
         if trace_path is not None:
             directory = os.path.dirname(os.path.abspath(trace_path))
             os.makedirs(directory, exist_ok=True)
             # line buffered: every span line hits the OS as it is written,
-            # so shards survive worker SIGTERM and a fork never inherits a
-            # half-filled userspace buffer (see Tracer.abandon)
+            # so a killed run keeps its finished spans and a fork never
+            # inherits a half-filled userspace buffer (see Tracer.abandon)
             self._file = open(trace_path, "w", buffering=1)
             self._write_line(self.meta_line())
 
@@ -240,8 +245,29 @@ class Tracer:
                 self.roots.append(span)
         else:
             self.dropped += 1
+        if self._file is not None or self.events is not None:
+            self._emit(span.to_event(self.pid))
+
+    def graft(self, events: list[dict]) -> None:
+        """File span events a pool worker shipped back.
+
+        Ids are renumbered from this tracer's counter, and the worker's
+        root spans hang under the span open on the calling thread.
+        ``pid``, ``tid`` and ``ts`` stay as the worker recorded them.
+        Grafted spans go to the trace file, not the in-memory forest.
+        """
+        stack = self.stack()
+        under = stack[-1].span_id if stack else None
+        ids = {event["id"]: self.next_id() for event in events}
+        for event in events:
+            self._emit(dict(event, id=ids[event["id"]],
+                            parent=ids.get(event["parent"], under)))
+
+    def _emit(self, event: dict) -> None:
+        if self.events is not None:
+            self.events.append(event)
         if self._file is not None:
-            self._write_line(span.to_event(self.pid))
+            self._write_line(event)
 
     def _write_line(self, payload: dict) -> None:
         with self._file_lock:

@@ -486,7 +486,7 @@ class TestHardenedExecutor:
 
 
 # ----------------------------------------------------------------------
-# SIGTERM mid-exploration: crash-safe journals and flushed trace shards
+# SIGTERM mid-exploration: crash-safe journals and a well-formed trace
 # ----------------------------------------------------------------------
 class TestSigtermExplore:
     def test_no_orphan_temp_files_and_resumable(self, tmp_path):
@@ -520,13 +520,14 @@ class TestSigtermExplore:
             with open(path) as handle:
                 json.load(handle)        # every record parses
 
-        # worker trace shards are line-buffered: whatever spans
-        # completed before the SIGTERM are intact JSONL
-        for shard in glob.glob(f"{trace_path}.shard-*.jsonl"):
-            with open(shard) as handle:
-                for line in handle:
-                    if line.endswith("\n"):
-                        json.loads(line)
+        # the one trace file is line-buffered: its meta line and every
+        # line completed before the SIGTERM are intact JSONL
+        with open(trace_path) as handle:
+            lines = handle.readlines()
+        assert json.loads(lines[0])["type"] == "meta"
+        for line in lines:
+            if line.endswith("\n"):
+                json.loads(line)
 
         # and the journal resumes to completion
         report = run_exploration(space, journal_dir, jobs=1)

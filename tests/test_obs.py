@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import stats as obs_stats
@@ -360,6 +362,72 @@ class TestTraceFile:
             + "\n" + json.dumps({"type": "surprise"}) + "\n")
         with pytest.raises(obs_stats.TraceError, match="unknown"):
             obs_stats.load_trace(str(path))
+
+
+_META = json.dumps({"type": "meta", "format": obs.TRACE_FORMAT}) + "\n"
+_SPAN = {"type": "span", "name": "s", "id": 1, "parent": None, "ph": "X",
+         "ts": 0, "dur": 1, "pid": 1, "tid": 1, "cpu_ms": 0,
+         "rss_peak_kb": 0, "args": {}}
+HOSTILE_TRACES = {
+    "non-object-line": b"[1]\n",
+    "not-utf8": b"\xff\xfe",
+    "unhashable-span-id": (_META + json.dumps(dict(_SPAN, id=[1]))
+                           + "\n").encode(),
+    "metrics-not-a-list": (_META + '{"type": "metrics", '
+                           '"metrics": "oops"}\n').encode(),
+}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+# schema-shaped lines with some keys overwritten by arbitrary JSON
+_ROW = {"name": "m", "kind": "counter", "labels": {}, "value": 1}
+_SCHEMA_LINES = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(_SPAN)), _JSON).map(
+        lambda hostile: {**_SPAN, **hostile}),
+    st.dictionaries(st.sampled_from(sorted(_ROW) + ["count"]), _JSON).map(
+        lambda hostile: {"type": "metrics",
+                         "metrics": [{**_ROW, **hostile}]}),
+    st.dictionaries(st.sampled_from(["metrics", "dropped"]), _JSON).map(
+        lambda hostile: {"type": "metrics", **hostile}))
+
+
+class TestHostileTraces:
+    @pytest.mark.parametrize("body", list(HOSTILE_TRACES.values()),
+                             ids=list(HOSTILE_TRACES))
+    def test_typed_error_and_stats_exits_one(self, tmp_path, capsys,
+                                             body):
+        from repro.cli import main
+
+        path = tmp_path / "hostile.jsonl"
+        path.write_bytes(body)
+        with pytest.raises(obs_stats.TraceError):
+            obs_stats.load_trace(str(path))
+        assert main(["stats", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=200).map(lambda tail: _META.encode() + tail),
+        st.lists(_SCHEMA_LINES, max_size=3).map(
+            lambda lines: (_META + "".join(
+                json.dumps(line) + "\n" for line in lines)).encode())))
+    def test_arbitrary_bytes_load_or_raise_trace_error(
+            self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.jsonl"
+        path.write_bytes(body)
+        try:
+            trace = obs_stats.load_trace(str(path))
+        except obs_stats.TraceError:
+            return
+        assert isinstance(trace, obs_stats.TraceFile)
+        # whatever loads must also render
+        obs_stats.format_span_tree(trace)
+        obs_stats.format_metric_table(trace)
 
 
 # ----------------------------------------------------------------------

@@ -1,26 +1,19 @@
-"""Cross-process telemetry tests: worker trace shards, shard merging,
-trace diffing, and the serial-vs-parallel structural identity of a
-traced exploration (merged span forests match, journals stay
-bit-identical)."""
+"""Cross-process telemetry tests: pool workers ship their spans and
+counters back into the parent's one trace file, trace diffing, and the
+serial-vs-parallel structural identity of a traced exploration (span
+forests and counters match, journals stay bit-identical)."""
 
 import json
 import multiprocessing
 import os
-import time
 
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.explore import SearchSpace, run_exploration
-from repro.obs.merge import (
-    find_shards,
-    load_shard,
-    merge_trace,
-    write_merged_trace,
-)
-from repro.obs.shard import MAX_SHARDS, ShardTracer, fork_shard, shard_path
+from repro.explore.executor import pool_map
 from repro.obs.stats import (
-    TraceError,
     diff_traces,
     format_trace_diff,
     load_trace,
@@ -29,7 +22,7 @@ from repro.obs.stats import (
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="worker shards require the fork start method")
+    reason="the worker-pool tests fork")
 
 
 @pytest.fixture(autouse=True)
@@ -40,177 +33,129 @@ def obs_isolation():
     obs.reset()
 
 
-def _fork_traced_worker(trace, body):
-    """Fork one traced child running *body*; wait for a clean exit."""
+def _task(index):
+    """A pool task: two nested spans and one kernel dispatch."""
+    with obs.span("task.outer", index=index):
+        with obs.span("task.inner"):
+            if obs.enabled():
+                obs.record_kernel("fast", "dense", 0.25)
+    return index, (index * 10, os.getpid())
+
+
+def _traced_pool_map(trace):
     obs.enable(trace_path=trace)
-    with obs.span("parent.root"):
-        ctx = multiprocessing.get_context("fork")
-        process = ctx.Process(target=body)
-        process.start()
-        process.join(timeout=30)
+    with obs.span("parent.map"):
+        values = pool_map(_task, list(range(4)), 2)
     obs.disable()
-    assert process.exitcode == 0
+    return values, load_trace(trace)
 
 
-def _child_two_spans():
-    with obs.span("child.outer", worker=1):
-        with obs.span("child.inner"):
-            time.sleep(0.001)
+def _metric_rows(trace):
+    return {(row["name"], tuple(sorted(row["labels"].items()))): row
+            for row in trace.metrics}
 
 
 # ----------------------------------------------------------------------
-# shard files
+# worker spans and counters shipped through pool_map
 # ----------------------------------------------------------------------
-class TestShards:
-    def test_shard_path(self):
-        assert shard_path("out.jsonl", 3) == "out.jsonl.shard-3.jsonl"
+class TestWorkerSpans:
+    def test_grafts_under_open_span(self, tmp_path):
+        _, trace = _traced_pool_map(str(tmp_path / "t.jsonl"))
+        assert [root.name for root in trace.roots] == ["parent.map"]
+        tasks = trace.roots[0].children
+        assert sorted(node.event["args"]["index"] for node in tasks) == \
+            [0, 1, 2, 3]
+        assert all([child.name for child in node.children]
+                   == ["task.inner"] for node in tasks)
 
-    def test_forked_child_writes_a_valid_shard(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
+    def test_span_ids_unique(self, tmp_path):
+        _, trace = _traced_pool_map(str(tmp_path / "t.jsonl"))
+        ids = [event["id"] for event in trace.events]
+        assert len(ids) == len(set(ids)) == 9
+        assert {event["parent"] for event in trace.events} <= \
+            set(ids) | {None}
 
-        shards = find_shards(trace)
-        assert shards == [shard_path(trace, 1)]
-        shard = load_shard(shards[0])
-        assert shard.meta["format"] == obs.TRACE_FORMAT
-        assert shard.meta["shard"] == 1
-        assert shard.meta["parent_pid"] == load_trace(trace).meta["pid"]
-        assert shard.meta["pid"] != shard.meta["parent_pid"]
-        assert [n.name for n in shard.roots] == ["child.outer"]
-        assert [n.name for n in shard.roots[0].children] == ["child.inner"]
+    def test_worker_pid_kept_on_parent_epoch(self, tmp_path):
+        values, trace = _traced_pool_map(str(tmp_path / "t.jsonl"))
+        parent_pid = trace.meta["pid"]
+        workers = [event for event in trace.events
+                   if event["name"] == "task.outer"]
+        assert {event["pid"] for event in workers} == \
+            {pid for _, pid in values}
+        assert parent_pid not in {event["pid"] for event in workers}
+        # worker timestamps land inside the parent span's interval
+        root = trace.roots[0].event
+        for event in workers:
+            assert root["ts"] <= event["ts"]
+            assert event["ts"] + event["dur"] <= root["ts"] + root["dur"]
 
-    def test_clean_child_exit_appends_metrics_line(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
-        with open(find_shards(trace)[0]) as handle:
-            last = json.loads(handle.readlines()[-1])
-        assert last["type"] == "metrics"
+    def test_counters_summed_into_registry_and_closing_line(self, tmp_path):
+        _, trace = _traced_pool_map(str(tmp_path / "t.jsonl"))
+        calls = obs.registry().counter("kernels.calls", backend="fast",
+                                       kernel="dense")
+        assert calls.value == 4
+        rows = _metric_rows(trace)
+        assert len(rows) == len(trace.metrics)      # one row per key
+        key = (("backend", "fast"), ("kernel", "dense"))
+        assert rows[("kernels.calls", key)]["value"] == 4
+        assert rows[("kernels.seconds", key)]["value"] == 1.0
 
-    def test_shard_records_fork_graft_point(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
-        parent = load_trace(trace)
-        shard = load_shard(find_shards(trace)[0])
-        root_id = next(e["id"] for e in parent.events
-                       if e["name"] == "parent.root")
-        assert shard.meta["forked_under"] == root_id
-
-    def test_parent_trace_stays_well_formed(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
-        parent = load_trace(trace)
-        assert [n.name for n in parent.roots] == ["parent.root"]
-
-    def test_fork_shard_rejects_in_memory_tracer(self):
-        obs.enable()        # no trace file
-        with pytest.raises(ValueError, match="in-memory"):
-            fork_shard(obs.tracer())
-
-    def test_shard_indices_claimed_exclusively(self, tmp_path):
+    def test_forked_child_never_writes_parent_trace(self, tmp_path):
         trace = str(tmp_path / "t.jsonl")
         obs.enable(trace_path=trace)
-        # simulate an already-claimed slot: the next shard must skip it
-        open(shard_path(trace, 1), "x").close()
-        shard = fork_shard(obs.tracer())
-        try:
-            assert isinstance(shard, ShardTracer)
-            assert shard.shard_index == 2
-            assert shard.path == shard_path(trace, 2)
-        finally:
-            shard.close()
-        assert MAX_SHARDS >= 1000
-
-    def test_find_shards_sorted_by_index_not_lexically(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        open(trace, "w").close()
-        for index in (10, 2, 1):
-            open(shard_path(trace, index), "w").close()
-        assert [os.path.basename(p) for p in find_shards(trace)] == [
-            "t.jsonl.shard-1.jsonl", "t.jsonl.shard-2.jsonl",
-            "t.jsonl.shard-10.jsonl"]
-
-
-# ----------------------------------------------------------------------
-# merging
-# ----------------------------------------------------------------------
-class TestMerge:
-    def test_merge_grafts_worker_spans_under_fork_span(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
-        merged = merge_trace(trace)
-        assert [n.name for n in merged.roots] == ["parent.root"]
-        child_names = [n.name for n in merged.roots[0].children]
-        assert "child.outer" in child_names
-        assert merged.meta["merged_shards"] == 1
-
-    def test_merge_renumbers_ids_globally(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
-        merged = merge_trace(trace)
-        ids = [event["id"] for event in merged.events]
-        assert len(ids) == len(set(ids))
-        assert sorted(ids) == list(range(1, len(ids) + 1))
-
-    def test_merge_preserves_worker_pids(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
-        merged = merge_trace(trace)
-        pids = {event["pid"] for event in merged.events}
-        assert len(pids) == 2        # parent + one worker
-
-    def test_merged_trace_round_trips_through_file(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
-        out = str(tmp_path / "merged.jsonl")
-        write_merged_trace(trace, out)
-        # no shards next to the merged file: loads as a plain trace
-        loaded = load_trace(out)
-        assert len(loaded.events) == len(merge_trace(trace).events)
-        assert [n.name for n in loaded.roots] == ["parent.root"]
-
-    def test_plain_trace_is_not_a_shard(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        obs.enable(trace_path=trace)
-        with obs.span("a"):
-            pass
+        with obs.span("parent.root"):
+            process = multiprocessing.get_context("fork").Process(
+                target=_child_body)
+            process.start()
+            process.join(timeout=30)
         obs.disable()
-        with pytest.raises(TraceError, match="not a worker shard"):
-            load_shard(trace)
+        assert process.exitcode == 0
+        loaded = load_trace(trace)
+        assert [root.name for root in loaded.roots] == ["parent.root"]
+        assert {event["pid"] for event in loaded.events} == \
+            {loaded.meta["pid"]}
 
-    def test_merge_rejects_foreign_shard(self, tmp_path):
-        trace_a = str(tmp_path / "a.jsonl")
-        trace_b = str(tmp_path / "b.jsonl")
-        _fork_traced_worker(trace_a, _child_two_spans)
-        obs.reset()
-        _fork_traced_worker(trace_b, _child_two_spans)
-        # a shard of b presented as a shard of a: parent pid mismatch
-        # (same process wrote both parents, so fake a different pid)
-        shard_of_b = find_shards(trace_b)[0]
-        lines = open(shard_of_b).read().splitlines()
-        meta = json.loads(lines[0])
-        meta["parent_pid"] = meta["parent_pid"] + 1
-        lines[0] = json.dumps(meta)
-        open(shard_of_b, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(TraceError, match="forked from pid"):
-            merge_trace(trace_b)
+    def test_untraced_pool_map_returns_values_untouched(self, tmp_path):
+        plain = pool_map(_task, list(range(4)), 2)
+        assert [value for value, _ in plain] == [0, 10, 20, 30]
+        assert obs.registry().to_dict() == []
+        traced, _ = _traced_pool_map(str(tmp_path / "t.jsonl"))
+        assert [value for value, _ in traced] == [0, 10, 20, 30]
 
-    def test_merge_rejects_malformed_shard(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        _fork_traced_worker(trace, _child_two_spans)
-        with open(shard_path(trace, 2), "w") as handle:
-            handle.write("this is not json\n")
-        with pytest.raises(TraceError):
-            merge_trace(trace)
 
-    def test_merge_without_shards_is_identity(self, tmp_path):
-        trace = str(tmp_path / "t.jsonl")
-        obs.enable(trace_path=trace)
-        with obs.span("solo"):
-            pass
-        obs.disable()
-        merged = merge_trace(trace)
-        assert merged.meta["merged_shards"] == 0
-        assert [n.name for n in merged.roots] == ["solo"]
+def _child_body():
+    # a forked non-pool child runs untraced: its spans are no-ops
+    if obs.enabled():
+        os._exit(3)
+    with obs.span("child.outer"):
+        pass
+
+
+@pytest.mark.slow
+def test_traced_run_jobs_ships_pipeline_spans(tmp_path):
+    """``repro run A B --jobs 2 --trace``: the second pool_map caller."""
+    paths = []
+    for seed in (0, 1):
+        path = tmp_path / f"cfg{seed}.json"
+        path.write_text(json.dumps({
+            "app": "face", "designs": ["asm1"], "budget": TINY,
+            "stages": ["train", "constrain", "evaluate"], "seed": seed}))
+        paths.append(str(path))
+    trace_path = str(tmp_path / "t.jsonl")
+    assert main(["run", *paths, "--jobs", "2", "--trace", trace_path,
+                 "--cache-dir", str(tmp_path / "cache"), "--quiet"]) == 0
+    trace = load_trace(trace_path)
+    runs = [event for event in trace.events
+            if event["name"] == "pipeline.run"]
+    assert len(runs) == 2
+    assert len({event["pid"] for event in runs}) == 2
+    assert trace.meta["pid"] not in {event["pid"] for event in runs}
+    misses = [row for row in trace.metrics
+              if row["name"] == "pipeline.cache.misses"]
+    assert {row["labels"]["stage"] for row in misses} >= \
+        {"train", "constrain", "evaluate"}
+    assert [name for name in os.listdir(tmp_path)
+            if name.startswith("t.jsonl")] == ["t.jsonl"]
 
 
 # ----------------------------------------------------------------------
@@ -288,13 +233,13 @@ class TestDiff:
         assert stats["root/step"].wall_ms == pytest.approx(1.0)
 
 
-# ----------------------------------------------------------------------
-# traced exploration: serial == parallel, journals stay bit-identical
-# ----------------------------------------------------------------------
 TINY = {"name": "tiny", "n_train": 250, "n_test": 120,
         "max_epochs": 3, "retrain_epochs": 2}
 
 
+# ----------------------------------------------------------------------
+# traced exploration: serial == parallel, journals stay bit-identical
+# ----------------------------------------------------------------------
 def _tiny_space():
     return SearchSpace(app="face", designs=("conventional", "asm1"),
                        budgets=(TINY,), seeds=(0, 1))
@@ -349,21 +294,32 @@ def test_traced_parallel_explore_matches_serial(tmp_path):
     obs.disable()
     obs.reset()
 
-    # the parallel run actually sharded, with candidate spans in workers
-    shards = find_shards(parallel_trace)
-    assert shards, "a traced --jobs 4 run must leave worker shards"
-    worker_candidates = [
-        event for path in shards for event in load_shard(path).events
-        if event["name"] == "explore.candidate"]
-    assert worker_candidates
-    parent_pid = load_trace(parallel_trace).meta["pid"]
-    assert all(e["pid"] != parent_pid for e in worker_candidates)
+    # one file per run, with candidate spans from the workers
+    assert sorted(name for name in os.listdir(tmp_path)
+                  if name.endswith(".jsonl")) == ["parallel.jsonl",
+                                                  "serial.jsonl"]
+    serial = load_trace(serial_trace)
+    parallel = load_trace(parallel_trace)
+    worker_candidates = [event for event in parallel.events
+                         if event["name"] == "explore.candidate"]
+    assert len(worker_candidates) == len(space.grid())
+    assert all(event["pid"] != parallel.meta["pid"]
+               for event in worker_candidates)
 
-    # merged span forests are structurally identical
-    serial = merge_trace(serial_trace)
-    parallel = merge_trace(parallel_trace)
+    # span forests are structurally identical
     assert sorted(_normalize(root) for root in serial.roots) == \
         sorted(_normalize(root) for root in parallel.roots)
+
+    # the same metric rows; only the pool gauges and timings differ
+    serial_rows = _metric_rows(serial)
+    parallel_rows = _metric_rows(parallel)
+    assert serial_rows.keys() == parallel_rows.keys()
+    for key, row in serial_rows.items():
+        if row["kind"] == "histogram":
+            assert parallel_rows[key]["count"] == row["count"], key
+        elif key[0] not in ("explore.workers",
+                            "explore.worker_utilization"):
+            assert parallel_rows[key] == row, key
 
     # journals are bit-identical: serial vs parallel vs untraced
     assert _journal_bytes(serial_dir) == _journal_bytes(parallel_dir)
