@@ -1,16 +1,19 @@
 """Digit recognition with the full design methodology (Algorithm 2).
 
 Trains the paper's 1024-100-10 MLP on the synthetic MNIST stand-in, then
-runs the alphabet-escalation methodology: retrain with {1}, accept if the
-quality bound holds, else escalate to {1,3}, {1,3,5,7}, ...
+runs the alphabet-escalation methodology as the pipeline's ``ladder``
+design: retrain with {1}, accept if the quality bound holds, else escalate
+to {1,3}, {1,3,5,7}, ...  The same flow as
+``repro run examples/configs/digits_ladder.toml``, at this example's budget.
 
 Run:  python examples/digit_recognition.py [--full]
 """
 
 import argparse
 
-from repro.datasets import build_model, load_dataset
-from repro.training import DesignMethodology
+from repro.asm.alphabet import standard_set
+from repro.datasets import build_model
+from repro.pipeline import Budget, Pipeline, PipelineConfig
 
 
 def main() -> None:
@@ -21,30 +24,33 @@ def main() -> None:
                         help="quality constraint Q (default 0.99)")
     args = parser.parse_args()
 
-    n_train, n_test = (4000, 1500) if args.full else (1200, 500)
-    epochs, retrain = (40, 20) if args.full else (12, 8)
-
-    print(f"generating synthetic MNIST ({n_train} train / {n_test} test)")
-    dataset = load_dataset("mnist_mlp", n_train=n_train, n_test=n_test,
-                           seed=0)
-    model = build_model("mnist_mlp", seed=1)
+    config = PipelineConfig(
+        app="mnist_mlp", designs=("conventional", "ladder"),
+        stages=("train", "quantize", "constrain", "evaluate"),
+        budget="full" if args.full else Budget("example", 1200, 500, 12, 8),
+        quality=args.quality, ladder=(1, 2, 4, 8), seed=0)
+    tier = config.tier()
+    print(f"generating synthetic MNIST ({tier.n_train} train / "
+          f"{tier.n_test} test)")
+    model = build_model("mnist_mlp")
     print(f"model: {model.num_params} synapses, {model.num_neurons} neurons "
           f"(Table IV: 103510 / 110)")
 
-    methodology = DesignMethodology(bits=8, quality=args.quality,
-                                    ladder=(1, 2, 4, 8))
-    result = methodology.run(model, dataset, max_epochs=epochs,
-                             retrain_epochs=retrain, verbose=True)
-
-    print(f"\nfloat accuracy:            {result.float_accuracy * 100:.2f}%")
-    print(f"8-bit conventional (J):    {result.baseline_accuracy * 100:.2f}%")
-    for stage in result.stages:
-        verdict = "ACCEPTED" if stage.accepted else "rejected"
-        print(f"  {stage.num_alphabets} alphabet(s) {stage.alphabet_set}: "
-              f"K = {stage.accuracy * 100:.2f}%  [{verdict}]")
-    print(f"\nchosen design: {result.chosen_alphabets} alphabet(s), "
-          f"accuracy loss {result.accuracy_loss * 100:.2f}%")
-    if result.chosen_alphabets == 1:
+    report = Pipeline(config).run()
+    baseline = report.quantize.baseline_accuracy
+    outcome = report.constrain.outcome_for("ladder")
+    print(f"\nfloat accuracy:            "
+          f"{report.train.float_accuracy * 100:.2f}%")
+    print(f"8-bit conventional (J):    {baseline * 100:.2f}%")
+    for count, accuracy in zip(config.ladder, outcome.ladder_accuracies):
+        verdict = ("ACCEPTED" if accuracy >= baseline * config.quality
+                   else "rejected")
+        print(f"  {count} alphabet(s) {standard_set(count)}: "
+              f"K = {accuracy * 100:.2f}%  [{verdict}]")
+    loss = report.evaluate.row_for("ladder").loss
+    print(f"\nchosen design: {outcome.chosen_alphabets} alphabet(s), "
+          f"accuracy loss {loss * 100:.2f}%")
+    if outcome.chosen_alphabets == 1:
         print("-> the network runs on Multiplier-less Artificial Neurons.")
 
 

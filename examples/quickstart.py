@@ -5,7 +5,7 @@ Walks the paper's core ideas end to end on scalar values:
 1. decompose a weight into select/shift/add terms (Table I),
 2. see a reduced alphabet set fail on an unsupported weight,
 3. constrain the weight (Algorithm 1) and multiply exactly,
-4. compile the Multiplier-less Neuron's shift-add program,
+4. run the Multiplier-less Neuron: the 1-alphabet ASM's shifts and adds,
 5. compare hardware cost of conventional vs ASM vs MAN neurons.
 
 Run:  python examples/quickstart.py
@@ -18,7 +18,6 @@ from repro.asm import (
     AlphabetSetMultiplier,
     UnsupportedQuartetError,
     WeightConstrainer,
-    compile_weight,
     format_decomposition,
 )
 from repro.fixedpoint import LAYOUT_8BIT
@@ -52,10 +51,12 @@ def main() -> None:
     print("\n=== 4. the Multiplier-less Neuron: shifts and adds only ===")
     man_constrainer = WeightConstrainer(8, ALPHA_1)
     man_weight = man_constrainer.constrain(weight)
-    program = compile_weight(man_weight, LAYOUT_8BIT, ALPHA_1)
+    man = AlphabetSetMultiplier(8, ALPHA_1)
     print(f"  constrain({weight}) -> {man_weight}")
-    print(f"  {man_weight} * x = {program}")
-    print(f"  program({operand}) = {program.apply(operand)}")
+    print(f"  {format_decomposition(man_weight, LAYOUT_8BIT, ALPHA_1)}")
+    print(f"  MAN product {man_weight} x {operand} = "
+          f"{man.multiply(man_weight, operand)} "
+          f"(exact: {man_weight * operand})")
 
     print("\n=== 5. hardware cost at iso-speed (8-bit, 3 GHz) ===")
     conventional = make_neuron(8).cost()

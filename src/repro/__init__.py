@@ -37,8 +37,8 @@ Subpackages
 ``repro.datasets``
     Seeded synthetic stand-ins for MNIST, YUV Faces, SVHN and TICH.
 ``repro.training``
-    Constrained retraining (projected SGD), Algorithm-2 methodology,
-    mixed per-layer alphabet plans (§VI.E).
+    Constrained retraining (projected SGD) and mixed per-layer alphabet
+    plans (§VI.E); Algorithm 2 runs as the pipeline's ``ladder`` design.
 ``repro.explore``
     Parallel design-space exploration: declarative ``SearchSpace``,
     grid/random/sensitivity-guided strategies on a multiprocessing

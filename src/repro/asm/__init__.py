@@ -4,9 +4,9 @@ Public surface:
 
 * alphabet sets and their supported quartet values,
 * quartet decomposition (select/shift/add terms, Table I),
-* bit-accurate ASM and conventional multiplier models,
-* weight constraining (Algorithm 1) onto the supported grid,
-* shift-add program compilation for the Multiplier-less Neuron (MAN).
+* bit-accurate ASM and conventional multiplier models (the Multiplier-less
+  Neuron is ``AlphabetSetMultiplier(bits, ALPHA_1)``),
+* weight constraining (Algorithm 1) onto the supported grid.
 """
 
 from repro.asm.alphabet import (
@@ -36,7 +36,6 @@ from repro.asm.decompose import (
     format_decomposition,
     reconstruct,
 )
-from repro.asm.man import MANMultiplier, ShiftAddProgram, compile_weight, man_program
 from repro.asm.multiplier import (
     FALLBACK_POLICIES,
     AlphabetSetMultiplier,
@@ -65,10 +64,6 @@ __all__ = [
     "decompose_quartet",
     "format_decomposition",
     "reconstruct",
-    "MANMultiplier",
-    "ShiftAddProgram",
-    "compile_weight",
-    "man_program",
     "FALLBACK_POLICIES",
     "AlphabetSetMultiplier",
     "ConventionalMultiplier",

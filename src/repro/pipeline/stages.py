@@ -10,7 +10,9 @@ pipeline produces the same numbers as a cold one.
 The stage bodies reproduce the exact operation sequences of the
 pre-pipeline experiment drivers (same trainer construction, same
 projector, same quantisation calls), which is what keeps the paper's
-tables bit-identical to their pre-pipeline output.
+tables bit-identical to their pre-pipeline output.  Algorithm 2 lives
+here only: every design's retrain goes through :func:`_retrain`, and the
+``ladder`` design escalates through it rung by rung.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.nn.trainer import Trainer
 from repro.pipeline.config import PipelineConfig, is_plan_design, \
     parse_design
 from repro.training.constrained import ConstraintProjector, constrained_trainer
-from repro.training.methodology import DesignMethodology
 from repro.training.mixed import paper_mixed_plan
 
 __all__ = [
@@ -397,76 +398,75 @@ def stage_constrain(ctx: PipelineContext) -> ConstrainResult:
     """Constrained retraining (Algorithm 2 step 3) per design."""
     if ctx.train_state is None:
         raise StageError("'constrain' needs 'train' to have run")
-    model = ctx.model
-    settings = ctx.settings
-    x_train, x_test = ctx.arrays()
     outcomes: list[DesignOutcome] = []
     for design in ctx.config.designs:
         kind = parse_design(design)
         if kind is None:
             continue
-        model.load_state(ctx.train_state)
         with obs.span("constrain.design", design=design) as design_span:
             if kind == "ladder":
-                outcomes.append(_constrain_ladder(ctx, design))
-                design_span.set(epochs=outcomes[-1].epochs)
-                continue
-            if is_plan_design(kind):
-                plan = ctx.design_plan(design)
-                projector = ConstraintProjector(
-                    model, ctx.bits, layer_plan=plan,
-                    mode=ctx.config.constraint_mode,
-                    backend=ctx.config.backend)
+                outcome = _constrain_ladder(ctx, design)
             else:
-                projector = ConstraintProjector(
-                    model, ctx.bits, standard_set(kind),
-                    mode=ctx.config.constraint_mode,
-                    backend=ctx.config.backend)
-            optimizer = SGD(model, settings.learning_rate
-                            * settings.retrain_lr_scale)
-            retrainer = constrained_trainer(
-                model, optimizer, projector,
-                batch_size=settings.batch_size, patience=settings.patience)
-            history = retrainer.fit(x_train, ctx.dataset.y_train_onehot,
-                                    x_test, ctx.dataset.y_test,
-                                    max_epochs=ctx.tier.retrain_epochs)
-            ctx.design_states[design] = model.state()
-            design_span.set(epochs=history.epochs_run)
-            outcomes.append(DesignOutcome(design=design,
-                                          epochs=history.epochs_run))
+                outcome = DesignOutcome(design=design,
+                                        epochs=_retrain(ctx, design))
+            design_span.set(epochs=outcome.epochs)
+            outcomes.append(outcome)
     return ConstrainResult(outcomes=tuple(outcomes))
 
 
+def _retrain(ctx: PipelineContext, design: str) -> int:
+    """Projected-SGD retrain of *design* from the restore point at the
+    lower learning rate (Algorithm 2 step 3).
+
+    Stores the retrained weights as the design's state (dropping any
+    stale lowering of it) and returns the epochs run.
+    """
+    model = ctx.model
+    settings = ctx.settings
+    x_train, x_test = ctx.arrays()
+    model.load_state(ctx.train_state)
+    projector = ConstraintProjector(
+        model, ctx.bits, layer_plan=ctx.design_plan(design),
+        mode=ctx.config.constraint_mode, backend=ctx.config.backend)
+    retrainer = constrained_trainer(
+        model, SGD(model, settings.learning_rate * settings.retrain_lr_scale),
+        projector, batch_size=settings.batch_size, patience=settings.patience)
+    history = retrainer.fit(x_train, ctx.dataset.y_train_onehot, x_test,
+                            ctx.dataset.y_test,
+                            max_epochs=ctx.tier.retrain_epochs)
+    ctx.design_states[design] = model.state()
+    ctx._quantized.pop(design, None)
+    return history.epochs_run
+
+
 def _constrain_ladder(ctx: PipelineContext, design: str) -> DesignOutcome:
-    """Algorithm 2's quality ladder for one ``ladder`` design."""
+    """Algorithm 2 step 4 for one ``ladder`` design: retrain with each
+    rung's alphabet set until its accuracy ``K >= J * quality``.
+
+    The last rung tried is the chosen one (the 8-alphabet set is exact, so
+    a ladder ending there always yields a feasible design).  Each rung is
+    lowered through :meth:`PipelineContext.design_quantized`, so the chosen
+    rung's network stays memoized for ``evaluate`` and ``export``.
+    """
     quantize = ctx.results.get("quantize")
     if quantize is None:
         raise StageError(
             "'ladder' designs need the 'quantize' stage for the baseline "
             "accuracy J")
-    settings = ctx.settings
-    train = ctx.results.get("train")
-    method = DesignMethodology(
-        ctx.bits, quality=ctx.config.quality, ladder=ctx.config.ladder,
-        base_learning_rate=settings.learning_rate,
-        retrain_lr_scale=settings.retrain_lr_scale,
-        batch_size=settings.batch_size, patience=settings.patience,
-        constraint_mode=ctx.config.constraint_mode, seed=ctx.config.seed,
-        backend=ctx.config.backend,
-        eval_batch_size=ctx.config.eval_batch_size)
-    result = method.escalate(
-        ctx.model, ctx.dataset, ctx.train_state,
-        quantize.baseline_accuracy,
-        float_accuracy=train.float_accuracy if train else None,
-        retrain_epochs=ctx.tier.retrain_epochs,
-        use_images=ctx.bench.needs_images)
-    final = result.final_stage
-    ctx.design_states[design] = ctx.model.state()
-    ctx.chosen_sets[design] = final.alphabet_set
-    return DesignOutcome(
-        design=design, epochs=final.epochs,
-        chosen_alphabets=final.num_alphabets,
-        ladder_accuracies=tuple(stage.accuracy for stage in result.stages))
+    threshold = quantize.baseline_accuracy * ctx.config.quality
+    _, x_test = ctx.arrays()
+    accuracies: list[float] = []
+    for count in ctx.config.ladder:
+        ctx.chosen_sets[design] = standard_set(count)
+        epochs = _retrain(ctx, design)
+        accuracies.append(ctx.design_quantized(design).accuracy(
+            x_test, ctx.dataset.y_test,
+            batch_size=ctx.config.eval_batch_size))
+        if accuracies[-1] >= threshold:
+            break
+    return DesignOutcome(design=design, epochs=epochs,
+                         chosen_alphabets=count,
+                         ladder_accuracies=tuple(accuracies))
 
 
 def stage_evaluate(ctx: PipelineContext) -> EvaluateResult:

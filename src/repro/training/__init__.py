@@ -1,25 +1,17 @@
-"""Constrained retraining, Algorithm-2 methodology and mixed plans."""
+"""Constrained retraining (projected SGD) and §VI.E mixed plans.
+
+Algorithm 2's escalation runs as the pipeline's ``ladder`` design
+(:mod:`repro.pipeline.stages`).
+"""
 
 from repro.training.constrained import (
     ConstraintProjector,
     constrained_trainer,
     weight_param_name,
 )
-from repro.training.methodology import (
-    DesignMethodology,
-    MethodologyResult,
-    StageResult,
-)
-from repro.training.mixed import (
-    MixedPlanResult,
-    build_mixed_plan,
-    evaluate_plan,
-    retrain_with_plan,
-)
+from repro.training.mixed import build_mixed_plan
 
 __all__ = [
     "ConstraintProjector", "constrained_trainer", "weight_param_name",
-    "DesignMethodology", "MethodologyResult", "StageResult",
-    "MixedPlanResult", "build_mixed_plan", "evaluate_plan",
-    "retrain_with_plan",
+    "build_mixed_plan",
 ]

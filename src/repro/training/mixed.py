@@ -3,29 +3,18 @@
 Small concluding layers matter more for the output and cost a tiny share of
 processing cycles, so they can afford more alphabets: 1-alphabet neurons in
 the early large layers, 2/4-alphabet neurons in the last one or two layers.
-This module builds such plans, retrains under them, and evaluates both the
-accuracy (bit-accurate engine) and the energy (CSHM engine with per-layer
-designs) — everything Fig. 11 plots.
+This module builds such plans; the pipeline's ``mixed`` design retrains,
+evaluates and costs them (:mod:`repro.pipeline.stages`) — everything
+Fig. 11 plots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4, AlphabetSet
-from repro.datasets.base import Dataset
-from repro.hardware.engine import ProcessingEngine
 from repro.nn.network import Sequential
-from repro.nn.optim import SGD
-from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
-from repro.training.constrained import (
-    ConstraintProjector,
-    constrained_trainer,
-    weight_param_name,
-)
+from repro.training.constrained import weight_param_name
 
-__all__ = ["build_mixed_plan", "paper_mixed_plan", "MIXED_PLAN_APPS",
-           "MixedPlanResult", "evaluate_plan"]
+__all__ = ["build_mixed_plan", "paper_mixed_plan", "MIXED_PLAN_APPS"]
 
 #: Applications with a §VI.E mixed plan (the ones Fig. 11 covers).
 MIXED_PLAN_APPS = ("mnist_mlp", "svhn", "tich")
@@ -67,64 +56,3 @@ def paper_mixed_plan(app: str, network: Sequential) -> list[AlphabetSet]:
                                 base_set=ALPHA_1)
     raise ValueError(f"no §VI.E mixed plan for {app!r}; "
                      f"choose from {MIXED_PLAN_APPS}")
-
-
-@dataclass(frozen=True)
-class MixedPlanResult:
-    """Accuracy and energy of one (possibly mixed) deployment plan."""
-
-    label: str
-    accuracy: float
-    energy_nj: float
-    cycles: int
-
-    def normalized_energy(self, baseline: "MixedPlanResult") -> float:
-        return self.energy_nj / baseline.energy_nj
-
-
-def retrain_with_plan(network: Sequential, dataset: Dataset, bits: int,
-                      plan: list[AlphabetSet | None],
-                      learning_rate: float = 0.075,
-                      batch_size: int = 32, patience: int = 3,
-                      max_epochs: int = 15,
-                      use_images: bool = False,
-                      constraint_mode: str = "greedy") -> None:
-    """Constrained retraining of *network* under a per-layer plan."""
-    x_train = dataset.x_train if use_images else dataset.flat_train
-    x_test = dataset.x_test if use_images else dataset.flat_test
-    projector = ConstraintProjector(network, bits, layer_plan=plan,
-                                    mode=constraint_mode)
-    optimizer = SGD(network, learning_rate)
-    trainer = constrained_trainer(network, optimizer, projector,
-                                  batch_size=batch_size, patience=patience)
-    trainer.fit(x_train, dataset.y_train_onehot, x_test, dataset.y_test,
-                max_epochs=max_epochs)
-
-
-def evaluate_plan(network: Sequential, dataset: Dataset, bits: int,
-                  plan: list[AlphabetSet | None],
-                  label: str,
-                  use_images: bool = False,
-                  constraint_mode: str = "greedy") -> MixedPlanResult:
-    """Bit-accurate accuracy + engine energy of *network* under *plan*.
-
-    The network is assumed already (re)trained for the plan; pass a plan of
-    ``None`` entries to evaluate the conventional deployment.
-    """
-    x_test = dataset.x_test if use_images else dataset.flat_test
-    base_spec = QuantizationSpec(bits)
-    layer_specs = []
-    for aset in plan:
-        if aset is None:
-            layer_specs.append(QuantizationSpec(bits))
-        else:
-            layer_specs.append(QuantizationSpec.constrained(
-                bits, aset, mode=constraint_mode))
-    quantized = QuantizedNetwork.from_float(network, base_spec,
-                                            layer_specs=layer_specs)
-    accuracy = quantized.accuracy(x_test, dataset.y_test)
-
-    engine = ProcessingEngine(bits)
-    report = engine.run(network.topology(), layer_alphabets=list(plan))
-    return MixedPlanResult(label=label, accuracy=accuracy,
-                           energy_nj=report.energy_nj, cycles=report.cycles)

@@ -8,7 +8,6 @@ import repro.analysis.quartets
 import repro.asm.alphabet
 import repro.asm.constraints
 import repro.asm.decompose
-import repro.asm.man
 import repro.datasets.digits
 import repro.datasets.registry
 import repro.fixedpoint.binary
@@ -28,7 +27,6 @@ MODULES = [
     repro.asm.alphabet,
     repro.asm.decompose,
     repro.asm.constraints,
-    repro.asm.man,
     repro.hardware.precompute,
     repro.hardware.engine,
     repro.hardware.neuron,

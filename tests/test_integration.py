@@ -15,8 +15,8 @@ from repro.hardware.engine import ProcessingEngine
 from repro.nn.optim import SGD
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.nn.trainer import Trainer
+from repro.pipeline import Budget, Pipeline, PipelineConfig
 from repro.training.constrained import ConstraintProjector, constrained_trainer
-from repro.training.methodology import DesignMethodology
 
 
 @pytest.fixture(scope="module")
@@ -64,18 +64,19 @@ class TestEndToEndPipeline:
         man_energy = ProcessingEngine(8, ALPHA_1).run(topo).energy_nj
         assert man_energy < 0.75 * conv_energy
 
-    def test_methodology_on_benchmark_model(self, mnist_small):
+    def test_methodology_on_benchmark_model(self):
         """Algorithm 2 drives a Table IV model to an accepted design."""
-        from repro.datasets import mlp
-        model = mlp([1024, 32, 10], seed=3)
-        methodology = DesignMethodology(bits=8, quality=0.95,
-                                        ladder=(1, 2, 4, 8))
-        result = methodology.run(model, mnist_small, max_epochs=8,
-                                 retrain_epochs=5)
-        assert result.succeeded
+        report = Pipeline(PipelineConfig(
+            app="mnist_mlp", designs=("conventional", "ladder"),
+            stages=("train", "quantize", "constrain", "evaluate"),
+            quality=0.95, ladder=(1, 2, 4, 8),
+            budget=Budget("small", n_train=500, n_test=250, max_epochs=8,
+                          retrain_epochs=5))).run()
+        outcome = report.constrain.outcome_for("ladder")
+        assert outcome.chosen_alphabets in (1, 2, 4, 8)
         # quality bound respected by construction
-        final = result.final_stage
-        assert final.accuracy >= result.baseline_accuracy * 0.95
+        assert report.evaluate.row_for("ladder").accuracy >= \
+            report.quantize.baseline_accuracy * 0.95
 
     def test_registered_benchmark_roundtrip(self):
         """Registry model + dataset + engine cost agree on shapes."""

@@ -541,8 +541,84 @@ class TestLegacyEquivalence:
         assert report.evaluate.row_for(f"asm{count}").accuracy == \
             constrained_accuracy
 
+    def test_ladder_matches_inline_algorithm2(self, tich_ladder_report):
+        """Ladder outcome == Algorithm 2's escalation loop inline (train,
+        baseline J, then restore + retrain + measure K per rung until
+        K >= J * Q) on a config that escalates."""
+        from repro.asm.alphabet import standard_set
+        from repro.datasets.registry import (
+            BENCHMARKS, build_model, load_dataset, training_arrays)
+        from repro.nn.optim import SGD
+        from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
+        from repro.nn.trainer import Trainer
+        from repro.pipeline.config import TRAIN_SETTINGS
+        from repro.training.constrained import (
+            ConstraintProjector, constrained_trainer)
+
+        app, seed, quality = TICH_LADDER["app"], TICH_LADDER["seed"], \
+            TICH_LADDER["quality"]
+        spec = BENCHMARKS[app]
+        settings = TRAIN_SETTINGS[app]
+        dataset = load_dataset(app, n_train=TINY["n_train"],
+                               n_test=TINY["n_test"], seed=seed)
+        model = build_model(app, seed=seed + 1)
+        x_train, x_test = training_arrays(dataset, spec)
+        Trainer(model, SGD(model, settings.learning_rate),
+                batch_size=settings.batch_size,
+                patience=settings.patience).fit(
+            x_train, dataset.y_train_onehot, x_test, dataset.y_test,
+            max_epochs=TINY["max_epochs"])
+        baseline = QuantizedNetwork.from_float(
+            model, QuantizationSpec(spec.bits)).accuracy(
+                x_test, dataset.y_test)
+        restore = model.state()
+        accuracies = []
+        for count in TICH_LADDER["ladder"]:
+            alphabet_set = standard_set(count)
+            model.load_state(restore)
+            projector = ConstraintProjector(model, spec.bits, alphabet_set)
+            history = constrained_trainer(
+                model, SGD(model, settings.learning_rate
+                           * settings.retrain_lr_scale), projector,
+                batch_size=settings.batch_size,
+                patience=settings.patience).fit(
+                x_train, dataset.y_train_onehot, x_test, dataset.y_test,
+                max_epochs=TINY["retrain_epochs"])
+            accuracies.append(QuantizedNetwork.from_float(
+                model, QuantizationSpec.constrained(
+                    spec.bits, alphabet_set)).accuracy(
+                        x_test, dataset.y_test))
+            if accuracies[-1] >= baseline * quality:
+                break
+
+        report = tich_ladder_report
+        outcome = report.constrain.outcome_for("ladder")
+        assert report.quantize.baseline_accuracy == baseline
+        assert outcome.ladder_accuracies == tuple(accuracies)
+        assert outcome.chosen_alphabets == count
+        assert outcome.epochs == history.epochs_run
+        assert report.evaluate.row_for("ladder").accuracy == accuracies[-1]
+
+
+#: a ladder config that escalates at the TINY budget (rung 1 misses J)
+TICH_LADDER = dict(app="tich", seed=1, quality=1.0, ladder=(1, 2, 4, 8))
+
+
+@pytest.fixture(scope="module")
+def tich_ladder_report():
+    return Pipeline(tiny_config(designs=("conventional", "ladder"),
+                                **TICH_LADDER)).run()
+
 
 class TestLadderDesign:
+    def test_ladder_escalates(self, tich_ladder_report):
+        report = tich_ladder_report
+        outcome = report.constrain.outcome_for("ladder")
+        assert len(outcome.ladder_accuracies) == 2
+        assert outcome.ladder_accuracies[0] < \
+            report.quantize.baseline_accuracy
+        assert outcome.chosen_alphabets == 2
+
     def test_ladder_resolves_and_evaluates(self):
         config = tiny_config(designs=("conventional", "ladder"),
                              quality=0.5, ladder=(1, 2))

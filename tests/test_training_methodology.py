@@ -1,4 +1,5 @@
-"""Tests for constrained retraining, Algorithm 2 and mixed plans."""
+"""Tests for constrained retraining, Algorithm 2 (the pipeline's ``ladder``
+design) and mixed plans."""
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
 from repro.datasets import mlp, synthetic_mnist
 from repro.nn.optim import SGD
+from repro.pipeline import Budget, Pipeline, PipelineConfig, \
+    PipelineConfigError
 from repro.training.constrained import (
     ConstraintProjector,
     constrained_trainer,
     weight_param_name,
 )
-from repro.training.methodology import DesignMethodology
-from repro.training.mixed import build_mixed_plan, evaluate_plan
+from repro.training.mixed import build_mixed_plan
 
 RNG = np.random.default_rng(5)
 
@@ -119,53 +121,66 @@ class TestConstrainedTraining:
         assert history.best_accuracy > 0.5  # far above 10% chance
 
 
+#: a config whose first rung misses J at quality 1.0 (so it escalates)
+LADDER_CONFIG = dict(app="tich", seed=1, designs=("conventional", "ladder"),
+                     stages=("train", "quantize", "constrain", "evaluate"),
+                     budget=Budget("tiny", n_train=250, n_test=120,
+                                   max_epochs=3, retrain_epochs=2))
+
+
+@pytest.fixture(scope="module")
+def run_ladder(tmp_path_factory):
+    """Run a ladder config; train and quantize are cached across runs."""
+    cache_dir = str(tmp_path_factory.mktemp("ladder-cache"))
+
+    def run(**overrides):
+        return Pipeline(PipelineConfig(**LADDER_CONFIG, cache_dir=cache_dir,
+                                       **overrides)).run()
+    return run
+
+
 class TestDesignMethodology:
-    def test_runs_and_accepts(self, small_data):
-        model = fresh_model()
-        methodology = DesignMethodology(bits=8, quality=0.9,
-                                        ladder=(1, 2, 4, 8))
-        result = methodology.run(model, small_data, max_epochs=6,
-                                 retrain_epochs=4)
-        assert result.succeeded
-        assert result.stages
-        assert result.chosen_alphabets in (1, 2, 4, 8)
+    @pytest.fixture(scope="class")
+    def easy(self, run_ladder):
+        return run_ladder(quality=0.5, ladder=(1, 2, 4, 8))
 
-    def test_easy_quality_stops_at_one_alphabet(self, small_data):
-        model = fresh_model()
-        methodology = DesignMethodology(bits=8, quality=0.5, ladder=(1, 2))
-        result = methodology.run(model, small_data, max_epochs=6,
-                                 retrain_epochs=3)
-        assert result.chosen_alphabets == 1
-        assert len(result.stages) == 1
+    def test_runs_and_accepts(self, easy):
+        outcome = easy.constrain.outcome_for("ladder")
+        assert outcome.ladder_accuracies
+        assert outcome.chosen_alphabets in (1, 2, 4, 8)
+        assert outcome.ladder_accuracies[-1] >= \
+            easy.quantize.baseline_accuracy * 0.5
 
-    def test_impossible_quality_escalates(self, small_data):
-        model = fresh_model()
+    def test_easy_quality_stops_at_one_alphabet(self, easy):
+        outcome = easy.constrain.outcome_for("ladder")
+        assert outcome.chosen_alphabets == 1
+        assert len(outcome.ladder_accuracies) == 1
+
+    def test_impossible_quality_escalates(self, run_ladder):
         # quality 1.0 forces escalation unless retraining is perfect
-        methodology = DesignMethodology(bits=8, quality=1.0, ladder=(1, 8))
-        result = methodology.run(model, small_data, max_epochs=6,
-                                 retrain_epochs=3)
-        assert len(result.stages) >= 1
-        # the 8-alphabet (exact) stage always matches the baseline quality
-        if not result.stages[0].accepted:
-            assert result.stages[-1].num_alphabets == 8
+        report = run_ladder(quality=1.0, ladder=(1, 8))
+        outcome = report.constrain.outcome_for("ladder")
+        assert len(outcome.ladder_accuracies) == 2
+        assert outcome.ladder_accuracies[0] < \
+            report.quantize.baseline_accuracy
+        assert outcome.chosen_alphabets == 8
 
     def test_invalid_quality(self):
-        with pytest.raises(ValueError):
-            DesignMethodology(bits=8, quality=0.0)
-        with pytest.raises(ValueError):
-            DesignMethodology(bits=8, quality=1.2)
+        with pytest.raises(PipelineConfigError):
+            PipelineConfig(**LADDER_CONFIG, quality=0.0)
+        with pytest.raises(PipelineConfigError):
+            PipelineConfig(**LADDER_CONFIG, quality=1.2)
 
     def test_empty_ladder(self):
-        with pytest.raises(ValueError):
-            DesignMethodology(bits=8, ladder=())
+        with pytest.raises(PipelineConfigError):
+            PipelineConfig(**LADDER_CONFIG, ladder=())
 
-    def test_accuracy_loss_property(self, small_data):
-        model = fresh_model()
-        methodology = DesignMethodology(bits=8, quality=0.8, ladder=(1,))
-        result = methodology.run(model, small_data, max_epochs=5,
-                                 retrain_epochs=3)
-        assert result.accuracy_loss == pytest.approx(
-            result.baseline_accuracy - result.final_stage.accuracy)
+    def test_accuracy_loss_property(self, easy):
+        row = easy.evaluate.row_for("ladder")
+        assert row.accuracy == \
+            easy.constrain.outcome_for("ladder").ladder_accuracies[-1]
+        assert row.loss == pytest.approx(
+            easy.quantize.baseline_accuracy - row.accuracy)
 
 
 class TestMixedPlans:
@@ -179,34 +194,26 @@ class TestMixedPlans:
         with pytest.raises(ValueError):
             build_mixed_plan(model, [ALPHA_2, ALPHA_4, ALPHA_4])
 
-    def test_evaluate_plan_energy_ordering(self, small_data):
+    @pytest.fixture(scope="class")
+    def energy(self):
+        """Per-inference energy of the all-{1}, §VI.E mixed and
+        conventional deployments of the 1024-100-10 MLP."""
+        return Pipeline(PipelineConfig(
+            app="mnist_mlp", designs=("conventional", "asm1", "mixed"),
+            stages=("energy",))).run().energy
+
+    def test_evaluate_plan_energy_ordering(self, energy):
         """mixed energy sits between all-{1} and conventional."""
-        model = fresh_model()
-        n = len(model.trainable_layers)
-        conventional = evaluate_plan(model, small_data, 8, [None] * n,
-                                     label="conv")
-        man = evaluate_plan(model, small_data, 8, [ALPHA_1] * n,
-                            label="man")
-        mixed = evaluate_plan(model, small_data, 8,
-                              build_mixed_plan(model, [ALPHA_4]),
-                              label="mixed")
-        assert man.energy_nj < mixed.energy_nj < conventional.energy_nj
+        assert energy.row_for("asm1").energy_nj < \
+            energy.row_for("mixed").energy_nj < \
+            energy.row_for("conventional").energy_nj
 
-    def test_mixed_energy_overhead_small(self, small_data):
+    def test_mixed_energy_overhead_small(self, energy):
         """§VI.E: upgrading the small output layer costs <5% energy."""
-        model = fresh_model()
-        n = len(model.trainable_layers)
-        man = evaluate_plan(model, small_data, 8, [ALPHA_1] * n,
-                            label="man")
-        mixed = evaluate_plan(model, small_data, 8,
-                              build_mixed_plan(model, [ALPHA_4]),
-                              label="mixed")
-        assert mixed.energy_nj / man.energy_nj < 1.05
+        assert energy.row_for("mixed").energy_nj / \
+            energy.row_for("asm1").energy_nj < 1.05
 
-    def test_normalized_energy_helper(self, small_data):
-        model = fresh_model()
-        n = len(model.trainable_layers)
-        conv = evaluate_plan(model, small_data, 8, [None] * n, label="conv")
-        man = evaluate_plan(model, small_data, 8, [ALPHA_1] * n, label="man")
-        assert man.normalized_energy(conv) == pytest.approx(
-            man.energy_nj / conv.energy_nj)
+    def test_normalized_energy_helper(self, energy):
+        man = energy.row_for("asm1")
+        assert man.normalized == pytest.approx(
+            man.energy_nj / energy.row_for("conventional").energy_nj)
