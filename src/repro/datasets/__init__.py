@@ -20,6 +20,7 @@ from repro.datasets.strokefont import (
     GLYPHS,
     glyph_strokes,
     jitter_transform,
+    render_batch,
     render_glyph,
     render_strokes,
 )
@@ -33,5 +34,5 @@ __all__ = [
     "BENCHMARKS", "BenchmarkSpec", "build_model", "load_dataset",
     "mlp", "lenet",
     "GLYPHS", "glyph_strokes", "jitter_transform", "render_glyph",
-    "render_strokes",
+    "render_strokes", "render_batch",
 ]

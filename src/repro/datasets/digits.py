@@ -12,41 +12,55 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.base import Dataset, balanced_labels
-from repro.datasets.strokefont import render_glyph
+from repro.datasets.strokefont import RENDER_CHUNK, draw_glyph, render_batch
 
 __all__ = ["synthetic_mnist"]
 
 _DIGITS = "0123456789"
 
 
-def _occlude(image: np.ndarray, rng: np.random.Generator) -> None:
-    """Blank a random horizontal or vertical bar, in place."""
-    size = image.shape[0]
+def _draw_bar(size: int, rng: np.random.Generator) -> tuple[slice, slice]:
+    """Draw a random horizontal or vertical bar to blank, as an index."""
     width = int(rng.integers(2, max(3, size // 5)))
     start = int(rng.integers(0, size - width))
     if rng.uniform() < 0.5:
-        image[:, start:start + width] = 0.0
-    else:
-        image[start:start + width, :] = 0.0
+        return np.s_[:, start:start + width]
+    return np.s_[start:start + width, :]
 
 
 def _render_split(n: int, image_size: int, noise: float, jitter: float,
                   occlusion: float, rng: np.random.Generator,
                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesise one split, :data:`RENDER_CHUNK` samples at a time.
+
+    Per chunk: draw every sample's random numbers in the per-sample order
+    (glyph jitter, thickness, occlusion bar, noise), the noise straight
+    into the output rows; render the chunk's glyphs in one call; then
+    blank the bars, add the ink to the noise and clip.  Rendering draws
+    nothing, so the stream, and with it every byte, is the same as
+    rendering each sample between its draws.
+    """
     labels = balanced_labels(n, len(_DIGITS), rng)
     images = np.empty((n, 1, image_size, image_size))
-    for index, label in enumerate(labels):
-        image = render_glyph(
-            _DIGITS[label], rng, image_size=image_size,
-            thickness_range=(0.03, 0.075),
-            rotation_deg=10.0 + 12.0 * jitter,
-            scale_range=(0.8 - 0.25 * jitter, 1.1 + 0.1 * jitter),
-            shear=0.15 + 0.2 * jitter,
-            translate=0.06 + 0.08 * jitter)
-        if rng.uniform() < occlusion:
-            _occlude(image, rng)
-        image += rng.normal(0.0, noise, size=image.shape)
-        images[index, 0] = np.clip(image, 0.0, 1.0)
+    for start in range(0, n, RENDER_CHUNK):
+        rows = images[start:start + RENDER_CHUNK, 0]
+        jobs, bars = [], []
+        for row, label in zip(rows, labels[start:start + RENDER_CHUNK]):
+            jobs.append(draw_glyph(
+                _DIGITS[label], rng, thickness_range=(0.03, 0.075),
+                rotation_deg=10.0 + 12.0 * jitter,
+                scale_range=(0.8 - 0.25 * jitter, 1.1 + 0.1 * jitter),
+                shear=0.15 + 0.2 * jitter,
+                translate=0.06 + 0.08 * jitter))
+            bars.append(_draw_bar(image_size, rng)
+                        if rng.uniform() < occlusion else None)
+            row[...] = rng.normal(0.0, noise, size=row.shape)
+        ink = render_batch(jobs, image_size)
+        for image, bar in zip(ink, bars):
+            if bar is not None:
+                image[bar] = 0.0
+        rows += ink
+        np.clip(rows, 0.0, 1.0, out=rows)
     return images, labels
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.base import Dataset
-from repro.datasets.strokefont import render_strokes
+from repro.datasets.strokefont import RENDER_CHUNK, render_batch
 
 __all__ = ["synthetic_faces"]
 
@@ -70,15 +70,20 @@ def synthetic_faces(n_train: int = 2000, n_test: int = 500,
     rng = np.random.default_rng(seed)
 
     def split(n: int) -> tuple[np.ndarray, np.ndarray]:
+        # draw -> render -> compose per chunk, as digits._render_split
         labels = (np.arange(n) % 2)
         rng.shuffle(labels)
         images = np.empty((n, 1, image_size, image_size))
-        for index, label in enumerate(labels):
-            strokes = _face_strokes(rng) if label else _nonface_strokes(rng)
-            image = render_strokes(strokes, image_size=image_size,
-                                   thickness=rng.uniform(0.03, 0.06))
-            image += rng.normal(0.0, noise, size=image.shape)
-            images[index, 0] = np.clip(image, 0.0, 1.0)
+        for start in range(0, n, RENDER_CHUNK):
+            rows = images[start:start + RENDER_CHUNK, 0]
+            jobs = []
+            for row, label in zip(rows, labels[start:start + RENDER_CHUNK]):
+                strokes = (_face_strokes(rng) if label
+                           else _nonface_strokes(rng))
+                jobs.append((strokes, rng.uniform(0.03, 0.06), None))
+                row[...] = rng.normal(0.0, noise, size=row.shape)
+            rows += render_batch(jobs, image_size)
+            np.clip(rows, 0.0, 1.0, out=rows)
         return images, labels
 
     x_train, y_train = split(n_train)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.base import Dataset, balanced_labels
-from repro.datasets.strokefont import render_glyph
+from repro.datasets.strokefont import RENDER_CHUNK, draw_glyph, render_batch
 
 __all__ = ["synthetic_tich", "TICH_CLASSES"]
 
@@ -28,16 +28,20 @@ def synthetic_tich(n_train: int = 3600, n_test: int = 720,
     rng = np.random.default_rng(seed)
 
     def split(n: int) -> tuple[np.ndarray, np.ndarray]:
+        # draw -> render -> compose per chunk, as digits._render_split
         labels = balanced_labels(n, len(TICH_CLASSES), rng)
         images = np.empty((n, 1, image_size, image_size))
-        for index, label in enumerate(labels):
-            image = render_glyph(
-                TICH_CLASSES[label], rng, image_size=image_size,
-                thickness_range=(0.03, 0.08),
-                rotation_deg=16.0, scale_range=(0.7, 1.15),
-                shear=0.25, translate=0.08)
-            image += rng.normal(0.0, noise, size=image.shape)
-            images[index, 0] = np.clip(image, 0.0, 1.0)
+        for start in range(0, n, RENDER_CHUNK):
+            rows = images[start:start + RENDER_CHUNK, 0]
+            jobs = []
+            for row, label in zip(rows, labels[start:start + RENDER_CHUNK]):
+                jobs.append(draw_glyph(
+                    TICH_CLASSES[label], rng, thickness_range=(0.03, 0.08),
+                    rotation_deg=16.0, scale_range=(0.7, 1.15),
+                    shear=0.25, translate=0.08))
+                row[...] = rng.normal(0.0, noise, size=row.shape)
+            rows += render_batch(jobs, image_size)
+            np.clip(rows, 0.0, 1.0, out=rows)
         return images, labels
 
     x_train, y_train = split(n_train)

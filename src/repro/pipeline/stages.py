@@ -88,6 +88,9 @@ class DesignOutcome:
     epochs: int
     chosen_alphabets: int | None = None      # ladder designs only
     ladder_accuracies: tuple[float, ...] = ()
+    # ladder designs only: did the chosen rung reach K >= J * quality?
+    # False when the ladder ran out of rungs first
+    quality_met: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -443,8 +446,9 @@ def _constrain_ladder(ctx: PipelineContext, design: str) -> DesignOutcome:
     """Algorithm 2 step 4 for one ``ladder`` design: retrain with each
     rung's alphabet set until its accuracy ``K >= J * quality``.
 
-    The last rung tried is the chosen one (the 8-alphabet set is exact, so
-    a ladder ending there always yields a feasible design).  Each rung is
+    The last rung tried is the chosen one.  A ladder can run out of rungs
+    with K still short of the bound (even the exact 8-alphabet set is
+    retrained), so the outcome records ``quality_met``.  Each rung is
     lowered through :meth:`PipelineContext.design_quantized`, so the chosen
     rung's network stays memoized for ``evaluate`` and ``export``.
     """
@@ -466,7 +470,8 @@ def _constrain_ladder(ctx: PipelineContext, design: str) -> DesignOutcome:
             break
     return DesignOutcome(design=design, epochs=epochs,
                          chosen_alphabets=count,
-                         ladder_accuracies=tuple(accuracies))
+                         ladder_accuracies=tuple(accuracies),
+                         quality_met=bool(accuracies[-1] >= threshold))
 
 
 def stage_evaluate(ctx: PipelineContext) -> EvaluateResult:
@@ -679,7 +684,8 @@ def result_from_payload(stage: str, payload: dict):
             DesignOutcome(
                 design=o["design"], epochs=o["epochs"],
                 chosen_alphabets=o.get("chosen_alphabets"),
-                ladder_accuracies=tuple(o.get("ladder_accuracies", ())))
+                ladder_accuracies=tuple(o.get("ladder_accuracies", ())),
+                quality_met=o.get("quality_met"))
             for o in payload["outcomes"]))
     if stage == "evaluate":
         return EvaluateResult(rows=tuple(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.datasets import (
     BENCHMARKS,
     Dataset,
@@ -16,6 +17,7 @@ from repro.datasets import (
     jitter_transform,
     load_dataset,
     one_hot,
+    render_batch,
     render_glyph,
     render_strokes,
     synthetic_faces,
@@ -204,6 +206,99 @@ class TestRasteriserGoldenModel:
         assert second.flags.writeable
 
 
+@st.composite
+def _job(draw):
+    """One render job: 0-4 strokes (so ragged segment counts and empty
+    jobs), shifted off the canvas now and then, any thickness, with or
+    without jitter."""
+    strokes = draw(st.lists(_stroke(), max_size=4))
+    shift = draw(st.sampled_from([0.0, 0.0, 0.0, -1.5, 1.5, 6.0]))
+    strokes = [[(x + shift, y - shift / 2) for x, y in stroke]
+               for stroke in strokes]
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    transform = None if seed is None else \
+        jitter_transform(np.random.default_rng(seed))
+    return strokes, draw(st.floats(0.005, 0.2)), transform
+
+
+class TestRenderBatch:
+    """One batch of jobs renders, byte for byte, the stack of per-job
+    golden images: tile culling skips only pixels the loop leaves at +0.0,
+    and jobs never bleed into each other."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 70),
+           image_size=st.integers(4, 40))
+    def test_matches_stacked_golden_images(self, data, count, image_size):
+        jobs = data.draw(st.lists(_job(), min_size=count, max_size=count))
+        images = render_batch(jobs, image_size)
+        golden = np.zeros((len(jobs), image_size, image_size))
+        for index, (strokes, thickness, transform) in enumerate(jobs):
+            golden[index] = _render_strokes_golden(
+                strokes, image_size, thickness, transform)
+        assert images.shape == golden.shape and images.dtype == golden.dtype
+        assert images.tobytes() == golden.tobytes()
+
+    def test_no_jobs(self):
+        assert render_batch([], 8).shape == (0, 8, 8)
+
+    def test_counters_only_while_tracing(self):
+        obs.reset()
+        jobs = [(glyph_strokes("8"), 0.05, None)] * 3
+        render_batch(jobs, 32)
+        assert not obs.registry().to_dict()
+        obs.enable()
+        try:
+            render_batch(jobs, 32)
+            counts = {row["name"]: row["value"]
+                      for row in obs.registry().to_dict()}
+        finally:
+            obs.reset()
+        assert counts["datasets.render.segments"] == 3 * 12
+        # culling: far fewer pairs than segments x 64 tiles
+        assert 0 < counts["datasets.render.tile_pairs"] < 3 * 12 * 64 / 2
+
+
+class TestRasteriserRejectsNonFinite:
+    """A NaN reach box would cull a stroke's ink silently, so non-finite
+    inputs are refused up front."""
+
+    STROKE = [[(0.2, 0.2), (0.8, 0.7)]]
+    IDENTITY = (np.eye(2), np.zeros(2))
+
+    @pytest.mark.parametrize("point", [(np.nan, 0.5), (0.5, np.inf),
+                                       (-np.inf, 0.2)])
+    def test_coordinates(self, point):
+        with pytest.raises(ValueError, match="finite"):
+            render_strokes([[(0.1, 0.1), point]])
+        with pytest.raises(ValueError, match="finite"):
+            render_batch([(self.STROKE, 0.05, None), ([[point]], 0.05, None)])
+
+    def test_coordinates_too_large_to_square(self):
+        # 1e200 squared overflows to inf, and inf/inf is a NaN reach
+        with pytest.raises(ValueError, match="finite"):
+            render_strokes([[(0.1, 0.1), (1e200, 0.5)]])
+
+    @pytest.mark.parametrize("transform", [
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2)),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.zeros(2)),
+        (np.eye(2), np.array([0.0, np.nan])),
+        (np.eye(2), np.array([np.inf, 0.0])),
+    ])
+    def test_transforms(self, transform):
+        with pytest.raises(ValueError, match="finite"):
+            render_strokes(self.STROKE, transform=transform)
+
+    @pytest.mark.parametrize("thickness", [np.nan, np.inf, -np.inf, 0.0,
+                                           -0.01])
+    def test_thickness(self, thickness):
+        with pytest.raises(ValueError, match="thickness"):
+            render_strokes(self.STROKE, thickness=thickness)
+        with pytest.raises(ValueError, match="thickness"):
+            render_batch([(self.STROKE, 0.05, self.IDENTITY),
+                          ([], thickness, None)])
+
+
 # SHA-256 over (dtype, shape, bytes) of each split array, pinned when the
 # rasteriser drew one segment at a time: synthesis must stay
 # byte-identical, or every stage-cache entry and explore journal moves.
@@ -245,6 +340,61 @@ def _dataset_digest(data):
                               for key, seed, _ in _DATASET_DIGESTS])
 def test_load_dataset_bytes_pinned(key, seed, expected):
     data = load_dataset(key, n_train=12, n_test=6, seed=seed)
+    assert _dataset_digest(data) == expected
+
+
+# Chunk and tile edges: split sizes around the 64-sample render chunk and
+# canvases that are not a multiple of the 4-pixel tile (svhn's texture
+# needs a multiple of 4, so it takes 20).  Pinned with the per-sample
+# rasteriser, before synthesis was chunked.
+_EDGE_DIGESTS = [
+    ("mnist", 1, 63, 32, 1, "c2298e4b204f1c8e78defe748e521a78"
+     "5264ed420986785a95c3882e83c09839"),
+    ("mnist", 64, 65, 32, 2, "252373d896721e6fe04c367b2419fd22"
+     "5aac41f2d82a9cf68a7676b673814c48"),
+    ("mnist", 129, 1, 32, 3, "673fafe792a019c25fecda6bb0011129"
+     "43adb9b8c19909ff2b76c23252c8f9ac"),
+    ("mnist", 65, 64, 30, 4, "1998c308af8b2ecff1ec09c479cd4220"
+     "a6762ca19a48201d9d9f5597d09ffa3a"),
+    ("tich", 1, 63, 32, 1, "e0d362d5111adce16d699feb40d4781b"
+     "f371ae0aaa0986c3654969a4c21eeadd"),
+    ("tich", 64, 65, 32, 2, "3bf39e86b4589936f17938b905ded882"
+     "8dcd22774f0e871934d6be582b7081b2"),
+    ("tich", 129, 1, 32, 3, "93b063b22e92b028d7203ba8cacbfa57"
+     "477bfafe9e67c2ec4e46c42ce788dcd0"),
+    ("tich", 65, 64, 21, 4, "3f866fb8b9807742a730572f702894f9"
+     "01218d7ac18c1765d1ac32adfb370aaf"),
+    ("faces", 1, 63, 32, 1, "f76e2075fbbdf987e750395325a14c9b"
+     "1664ae5eaacff48e20fc45b1c118bff4"),
+    ("faces", 64, 65, 32, 2, "0e0c6cb9220ea9513d61f19f88f2aedc"
+     "15c5d28e8f6bcac6425928c4f52c7c4e"),
+    ("faces", 129, 1, 32, 3, "1d462447c78319598a30677cd7f34541"
+     "5637d53cf03d54205e36cdc094240cc9"),
+    ("faces", 65, 64, 26, 4, "2d388287deec18c5e57d4dc3355bbcdb"
+     "539d678be2b639a021b5e73e3482be2c"),
+    ("svhn", 1, 63, 32, 1, "c9819de2792d5c1d4129cf704148f366"
+     "7b040976458c45e1e10e5608a8adbf77"),
+    ("svhn", 64, 65, 32, 2, "41381e90141b77010050f35cd61fea80"
+     "911bdb43a9a974e8a87a0156d217a2be"),
+    ("svhn", 129, 1, 32, 3, "6da5c7485bbf62f8fc97844dfeb24eaf"
+     "3f47581cb9fbfe5b066ea847a60413d2"),
+    ("svhn", 65, 64, 20, 4, "f5f7eae2991ce4eac7bf145cab13ef99"
+     "9d81471731c55df0b3b7c6407f2c880e"),
+]
+
+_SYNTHESISERS = {"mnist": synthetic_mnist, "tich": synthetic_tich,
+                 "faces": synthetic_faces, "svhn": synthetic_svhn}
+
+
+@pytest.mark.parametrize(
+    "name,n_train,n_test,image_size,seed,expected", _EDGE_DIGESTS,
+    ids=[f"{name}-{n_train}-{n_test}-{size}"
+         for name, n_train, n_test, size, _, _ in _EDGE_DIGESTS])
+def test_chunk_and_tile_edges_pinned(name, n_train, n_test, image_size,
+                                     seed, expected):
+    data = _SYNTHESISERS[name](n_train=n_train, n_test=n_test,
+                               image_size=image_size, seed=seed)
+    assert data.x_train.shape == (n_train, 1, image_size, image_size)
     assert _dataset_digest(data) == expected
 
 

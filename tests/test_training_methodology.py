@@ -134,8 +134,8 @@ def run_ladder(tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("ladder-cache"))
 
     def run(**overrides):
-        return Pipeline(PipelineConfig(**LADDER_CONFIG, cache_dir=cache_dir,
-                                       **overrides)).run()
+        return Pipeline(PipelineConfig(
+            **{**LADDER_CONFIG, "cache_dir": cache_dir, **overrides})).run()
     return run
 
 
@@ -164,6 +164,35 @@ class TestDesignMethodology:
         assert outcome.ladder_accuracies[0] < \
             report.quantize.baseline_accuracy
         assert outcome.chosen_alphabets == 8
+
+    def test_quality_met_records_the_bound(self, run_ladder):
+        # the recorded repro: a one-rung ladder misses K >= J * Q and is
+        # still the chosen design, now marked as missing the bound
+        report = run_ladder(quality=1.0, ladder=(1,))
+        missed = report.constrain.outcome_for("ladder")
+        assert missed.chosen_alphabets == 1
+        assert missed.ladder_accuracies[0] < \
+            report.quantize.baseline_accuracy
+        assert missed.quality_met is False
+        escalated = run_ladder(quality=1.0, ladder=(1, 8))
+        assert escalated.constrain.outcome_for("ladder").quality_met is True
+
+    def test_quality_met_only_for_ladders(self, run_ladder):
+        report = run_ladder(designs=("conventional", "asm2"))
+        assert report.constrain.outcome_for("asm2").quality_met is None
+
+    def test_quality_met_payload_round_trip(self, easy):
+        from repro.pipeline.stages import result_from_payload
+        from repro.utils.serialization import to_jsonable
+        result = easy.constrain
+        assert result_from_payload(
+            "constrain", to_jsonable(result)) == result
+        # a cache entry written before the field existed reads as None
+        payload = to_jsonable(result)
+        for outcome in payload["outcomes"]:
+            del outcome["quality_met"]
+        assert result_from_payload("constrain", payload).outcome_for(
+            "ladder").quality_met is None
 
     def test_invalid_quality(self):
         with pytest.raises(PipelineConfigError):
