@@ -12,8 +12,8 @@ and writes the gated scalars into ``BENCH_faults.json``:
 * ``worst_excess_degradation_pp`` — ceiling: the worst ASM accuracy drop
   beyond conventional's at the same rate, in percentage points.
 
-The CI ``faults-smoke`` job runs this bench and ``repro bench --check``
-enforces both gates against the ledgered history.
+The CI ``faults-smoke`` job runs this bench through ``repro bench
+faults``, which enforces both gates against the ledgered history.
 """
 
 from conftest import TINY, emit, emit_json

@@ -18,11 +18,15 @@ Two datapaths are modelled:
 
 Because the ASM's output depends on the weight only through the per-quartet
 remapping, every signed weight has an *effective weight* such that
-``asm(W, I) == effective(W) * I`` exactly.  :meth:`effective_weight_table`
-exposes that mapping; the quantised network inference in
-:mod:`repro.nn.quantized` uses it to run ASM-exact forward passes as plain
-integer matmuls.  The explicit select/shift/add path in :meth:`multiply` is
-retained and cross-checked against the table in the tests.
+``asm(W, I) == effective(W) * I`` exactly.  :func:`effective_weights` is
+the one implementation of that remap for arrays: the quantised forward
+pass (:mod:`repro.nn.quantized`), the toggle simulator
+(:mod:`repro.hardware.simulator`) and :meth:`AlphabetSetMultiplier.
+multiply_array` all fold weights through it, and it reads the memoized
+:func:`effective_weight_table`.  The explicit select/shift/add path in
+:meth:`AlphabetSetMultiplier.multiply` and the scalar
+:meth:`~AlphabetSetMultiplier.effective_weight` are retained as the
+reference the table is cross-checked against in the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.fixedpoint.quartet import QuartetLayout
 
 __all__ = ["ConventionalMultiplier", "AlphabetSetMultiplier",
            "FALLBACK_POLICIES", "UNSUPPORTED_WEIGHT",
-           "effective_weight_table"]
+           "effective_weight_table", "effective_weights"]
 
 FALLBACK_POLICIES = ("error", "nearest", "truncate")
 
@@ -70,20 +74,29 @@ def _effective_weight_table(bits: int, alphabet_set: AlphabetSet,
                             fallback: str) -> np.ndarray:
     """Process-wide cache of the signed effective-weight lookup table.
 
-    Shared by every :class:`AlphabetSetMultiplier` with the same
-    ``(bits, alphabet_set, fallback)`` — repeated :class:`QuantizedNetwork
-    <repro.nn.quantized.QuantizedNetwork>` constructions and the serving
-    stack's :class:`~repro.serving.compiled.CompiledModel` all hit the same
-    table.  The array is marked read-only because it is shared.
+    Built quartet by quartet over the whole weight range from the same
+    quartet maps the explicit datapath uses: the magnitude saturates at
+    ``2**(bits-1) - 1``, each quartet is remapped, and the sign is
+    restored.  A weight with any unsupported quartet holds
+    :data:`UNSUPPORTED_WEIGHT`.  The array is marked read-only because it
+    is shared.
     """
-    multiplier = AlphabetSetMultiplier(bits, alphabet_set, fallback=fallback)
+    layout = QuartetLayout(bits)
     offset = 1 << (bits - 1)
-    table = np.empty(2 * offset, dtype=np.int64)
-    for weight in range(-offset, offset):
-        try:
-            table[weight + offset] = multiplier.effective_weight(weight)
-        except UnsupportedQuartetError:
-            table[weight + offset] = AlphabetSetMultiplier._UNSUPPORTED
+    weights = np.arange(-offset, offset, dtype=np.int64)
+    magnitudes = np.minimum(np.abs(weights), layout.max_magnitude)
+    effective = np.zeros_like(weights)
+    unsupported = np.zeros(weights.shape, dtype=bool)
+    for index, width in enumerate(layout.quartet_widths):
+        shift = layout.shift_of(index)
+        remap = np.array([-1 if value is None else value for value in
+                          _quartet_map(alphabet_set, width, fallback)],
+                         dtype=np.int64)
+        realised = remap[(magnitudes >> shift) & ((1 << width) - 1)]
+        unsupported |= realised < 0
+        effective |= np.maximum(realised, 0) << shift
+    table = np.where(unsupported, UNSUPPORTED_WEIGHT,
+                     np.where(weights < 0, -effective, effective))
     table.setflags(write=False)
     return table
 
@@ -92,21 +105,44 @@ def effective_weight_table(bits: int, alphabet_set: AlphabetSet,
                            fallback: str = "error") -> np.ndarray:
     """The memoized signed effective-weight lookup table, directly.
 
-    The function every folding path should use: it hits the process-wide
-    cache without constructing an :class:`AlphabetSetMultiplier` per call
-    — :meth:`QuantizationSpec.quantize_weights
-    <repro.nn.quantized.QuantizationSpec.quantize_weights>` folds the
-    deployed weights of every layer in every constrained sweep through
-    it.  Index ``w + 2**(bits-1)`` → effective weight; under the
-    ``"error"`` policy, unsupported weights hold the sentinel
+    Index ``w + 2**(bits-1)`` → effective weight; under the ``"error"``
+    policy, unsupported weights hold the sentinel
     :data:`UNSUPPORTED_WEIGHT`.  Returned read-only; copy before
-    mutating.
+    mutating.  To remap weights, call :func:`effective_weights`.
     """
     if fallback not in FALLBACK_POLICIES:
         raise ValueError(
             f"unknown fallback {fallback!r}; choose from {FALLBACK_POLICIES}"
         )
     return _effective_weight_table(bits, alphabet_set, fallback)
+
+
+def effective_weights(bits: int, alphabet_set: AlphabetSet | None,
+                      weights: np.ndarray,
+                      fallback: str = "error") -> np.ndarray:
+    """Remap signed *bits*-bit integer weights to the values the ASM
+    datapath realises (one table lookup).
+
+    ``alphabet_set=None`` is the conventional multiplier: the weights
+    pass through as int64, unchecked.  Otherwise a weight outside the
+    signed range raises :class:`OverflowError`, and under the ``"error"``
+    policy a weight with an unsupported quartet raises
+    :class:`~repro.asm.decompose.UnsupportedQuartetError` (a
+    :class:`ValueError`).
+    """
+    weights = np.asarray(weights, dtype=np.int64)
+    if alphabet_set is None:
+        return weights
+    table = effective_weight_table(bits, alphabet_set, fallback)
+    index = weights + (1 << (bits - 1))
+    if index.size and (index.min() < 0 or index.max() >= len(table)):
+        raise OverflowError(f"weights outside signed {bits}-bit range")
+    effective = table[index]
+    unsupported = effective == UNSUPPORTED_WEIGHT
+    if unsupported.any():
+        bad = int(weights[unsupported].flat[0])
+        raise UnsupportedQuartetError(abs(bad), alphabet_set)
+    return effective
 
 
 class ConventionalMultiplier:
@@ -231,42 +267,19 @@ class AlphabetSetMultiplier:
         sign = -1 if weight < 0 else 1
         return sign * self.effective_magnitude(magnitude)
 
-    #: Table entry marking a weight the ``"error"`` policy rejects.
-    _UNSUPPORTED = UNSUPPORTED_WEIGHT
-
     def effective_weight_table(self) -> np.ndarray:
-        """Signed lookup table: index ``w + 2**(bits-1)`` → effective weight.
-
-        Under the ``"error"`` policy, entries for unsupported weights hold
-        the sentinel ``_UNSUPPORTED``; :meth:`multiply_array` rejects any
-        batch that touches one.
-
-        The table is memoized process-wide on ``(bits, alphabet_set,
-        fallback)`` and returned read-only; copy before mutating.
-        """
-        return _effective_weight_table(self.bits, self.alphabet_set,
-                                       self.fallback)
+        """Signed lookup table: index ``w + 2**(bits-1)`` → effective weight
+        (see :func:`effective_weight_table`; memoized, read-only)."""
+        return effective_weight_table(self.bits, self.alphabet_set,
+                                      self.fallback)
 
     def multiply_array(self, weights: np.ndarray,
                        operands: np.ndarray) -> np.ndarray:
-        """Vectorised ASM product using the effective-weight table.
-
-        Under the ``"error"`` policy every weight in the batch must be on the
-        supported grid, otherwise :class:`UnsupportedQuartetError` is raised.
-        """
-        table = self.effective_weight_table()
-        weights = np.asarray(weights, dtype=np.int64)
-        offset = 1 << (self.bits - 1)
-        index = weights + offset
-        if index.size and (index.min() < 0 or index.max() >= len(table)):
-            raise OverflowError(
-                f"weights outside signed {self.bits}-bit range"
-            )
-        effective = table[index]
-        if index.size and (effective == self._UNSUPPORTED).any():
-            bad = int(weights[effective == self._UNSUPPORTED].flat[0])
-            raise UnsupportedQuartetError(abs(bad), self.alphabet_set)
-        return effective * np.asarray(operands, dtype=np.int64)
+        """Vectorised ASM product via :func:`effective_weights` (same
+        range and unsupported-quartet errors)."""
+        return effective_weights(self.bits, self.alphabet_set, weights,
+                                 self.fallback) * np.asarray(
+            operands, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def error_profile(self) -> dict[str, float]:

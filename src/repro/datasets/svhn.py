@@ -70,6 +70,10 @@ def synthetic_svhn(n_train: int = 2000, n_test: int = 500,
     """Build the house-number dataset (10 classes, cluttered)."""
     if n_train < 1 or n_test < 1:
         raise ValueError("need at least one sample per split")
+    if image_size < 4 or image_size % 4:
+        # the background texture tiles a 4x4 grid of equal cells
+        raise ValueError(f"image_size must be a positive multiple of 4, "
+                         f"got {image_size}")
     rng = np.random.default_rng(seed)
 
     def split(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -144,13 +144,6 @@ class ExplorationJournal:
         return atomic_write_json(
             os.path.join(self.root, "report.json"), report_dict)
 
-    def load_report(self) -> dict | None:
-        try:
-            with open(os.path.join(self.root, "report.json")) as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-
 
 def load_space(journal_root: str) -> SearchSpace:
     """The :class:`SearchSpace` a journal directory was opened for."""

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro import obs
 from repro.asm.alphabet import AlphabetSet
-from repro.asm.multiplier import AlphabetSetMultiplier
+from repro.asm.multiplier import effective_weights
 from repro.kernels import get_backend
 from repro.kernels.registry import KernelBackend
 from repro.hardware.technology import IBM45, TechnologyModel
@@ -109,11 +109,6 @@ class CycleAccurateEngine:
         self.tech = tech
         self.alphabet_set = alphabet_set
         self._kernel = get_backend(backend)
-        if alphabet_set is not None:
-            self._multiplier = AlphabetSetMultiplier(bits, alphabet_set,
-                                                     fallback="error")
-        else:
-            self._multiplier = None
         if alphabet_set is None or alphabet_set.is_multiplierless:
             #: alphabet multiples the shared bank recomputes every cycle
             self.bank_multiples: tuple[int, ...] = ()
@@ -132,31 +127,17 @@ class CycleAccurateEngine:
         """Name of the selected simulation-kernel backend."""
         return self._kernel.name
 
-    def _effective_weights(self, weights: np.ndarray) -> np.ndarray:
-        weights = np.asarray(weights, dtype=np.int64)
-        if self._multiplier is None:
-            return weights
-        table = self._multiplier.effective_weight_table()
-        offset = 1 << (self.bits - 1)
-        index = weights + offset
-        if index.size and (index.min() < 0 or index.max() >= len(table)):
-            raise OverflowError("weights outside the signed word range")
-        effective = table[index]
-        if (effective == AlphabetSetMultiplier._UNSUPPORTED).any():
-            raise ValueError(
-                "weights off the supported grid; constrain them first"
-            )
-        return effective
-
     def remap_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Validate *weights* and remap them to effective values once.
+        """Validate *weights* and remap them to effective values once
+        (:func:`~repro.asm.multiplier.effective_weights` under the
+        ``"error"`` policy).
 
         ``run_layer`` does this on every call; callers replaying many
         activation vectors against the same layer (the pipeline's
         ``sim_samples`` energy traces) remap once and pass
         ``remapped=True`` instead.
         """
-        return self._effective_weights(weights)
+        return effective_weights(self.bits, self.alphabet_set, weights)
 
     # ------------------------------------------------------------------
     def run_layer(self, weights: np.ndarray, inputs: np.ndarray,
@@ -166,7 +147,7 @@ class CycleAccurateEngine:
         ``remapped=True`` skips the effective-weight remap for weights
         already returned by :meth:`remap_weights`."""
         weights = np.asarray(weights, dtype=np.int64) if remapped \
-            else self._effective_weights(weights)
+            else self.remap_weights(weights)
         inputs = np.asarray(inputs, dtype=np.int64)
         if weights.ndim != 2 or inputs.ndim != 1 \
                 or weights.shape[0] != inputs.shape[0]:

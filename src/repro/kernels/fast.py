@@ -19,8 +19,8 @@ entry.
 Per-layer precomputations — the float64 view of the folded integer
 weights and the exactness decision — are cached on the layer objects
 (``layer._kernel_cache``), so repeated forward passes and networks that
-share layers (e.g. :meth:`CompiledModel.from_quantized
-<repro.serving.compiled.CompiledModel.from_quantized>`) pay them once.
+share layers (e.g. :meth:`QuantizedNetwork.with_backend
+<repro.nn.quantized.QuantizedNetwork.with_backend>`) pay them once.
 """
 
 from __future__ import annotations

@@ -114,11 +114,6 @@ class Dense(Layer):
         }
         return grad_z @ self.params["W"].T
 
-    @property
-    def weight_matrix(self) -> np.ndarray:
-        """The synapse matrix (used by quantised inference)."""
-        return self.params["W"]
-
 
 class Conv2D(Layer):
     """Valid stride-1 convolution with optional connection table.

@@ -33,12 +33,7 @@ import numpy as np
 from repro import obs
 from repro.asm.alphabet import AlphabetSet
 from repro.asm.constraints import WeightConstrainer
-from repro.asm.multiplier import (
-    UNSUPPORTED_WEIGHT,
-    FALLBACK_POLICIES,
-    AlphabetSetMultiplier,
-    effective_weight_table,
-)
+from repro.asm.multiplier import FALLBACK_POLICIES, effective_weights
 from repro.fixedpoint.qformat import QFormat, qformat_for_range
 from repro.kernels import DEFAULT_EVAL_BATCH, batched_accuracy, get_backend
 from repro.kernels.registry import KernelBackend
@@ -84,19 +79,6 @@ class QuantizationSpec:
                 f"constrainer is {constrainer.bits}-bit, spec is {bits}-bit"
             )
 
-    @property
-    def multiplier(self) -> AlphabetSetMultiplier | None:
-        """The spec's ASM model (``None`` for conventional specs).
-
-        Constructed lazily: the weight-folding hot path only needs the
-        process-wide memoized effective-weight table, not a multiplier
-        object per spec — constrained sweeps build thousands of specs.
-        """
-        if self.alphabet_set is None:
-            return None
-        return AlphabetSetMultiplier(self.bits, self.alphabet_set,
-                                     fallback=self.fallback)
-
     @classmethod
     def constrained(cls, bits: int, alphabet_set: AlphabetSet,
                     mode: str = "greedy",
@@ -115,28 +97,17 @@ class QuantizationSpec:
         """Float weights → (deployed integer weights, their Q-format).
 
         Pipeline: power-of-two scale → round to grid → optional Algorithm-1
-        constraining → ASM effective-weight remap.  The remap goes through
-        the process-wide memoized table
-        (:func:`repro.asm.multiplier.effective_weight_table`), so repeated
-        folds in constrained sweeps never rebuild it.
+        constraining → ASM effective-weight remap
+        (:func:`repro.asm.multiplier.effective_weights`, one lookup in the
+        process-wide memoized table).
         """
         max_abs = float(np.max(np.abs(weights))) if weights.size else 1.0
         fmt = qformat_for_range(self.bits, max(max_abs, 1e-12))
         ints = fmt.quantize_array(weights)
         if self.constrainer is not None:
             ints = self.constrainer.constrain_array(ints)
-        if self.alphabet_set is not None:
-            table = effective_weight_table(self.bits, self.alphabet_set,
-                                           self.fallback)
-            deployed = table[ints + (1 << (self.bits - 1))]
-            unsupported = deployed == UNSUPPORTED_WEIGHT
-            if unsupported.any():
-                from repro.asm.decompose import UnsupportedQuartetError
-
-                bad = int(ints[unsupported].flat[0])
-                raise UnsupportedQuartetError(abs(bad), self.alphabet_set)
-            ints = deployed
-        return ints, fmt
+        return effective_weights(self.bits, self.alphabet_set, ints,
+                                 self.fallback), fmt
 
     @property
     def label(self) -> str:
@@ -154,8 +125,9 @@ class _QuantLayer:
     Each parameterised subclass is constructible two ways: from a float
     layer (:meth:`from_layer`, the training → deployment path) or directly
     from the already-folded integer arrays (the
-    :mod:`repro.serving.artifact` reload path).  Both construct the exact
-    same object, so a reloaded network's forward pass is bit-identical.
+    :class:`~repro.serving.compiled.CompiledModel` reload path).  Both
+    construct the exact same object, so a reloaded network's forward pass
+    is bit-identical.
 
     Layers carry data only; ``forward`` dispatches to a
     :class:`~repro.kernels.registry.KernelBackend` (the reference backend
@@ -171,7 +143,8 @@ class _QuantLayer:
     #: Alphabet set the layer's weights were folded for (``None`` =
     #: conventional multiplier).  Per-layer because mixed deployments
     #: (§VI.E) quantise each layer under its own spec; the serving stack
-    #: costs energy from it.
+    #: costs energy from it.  Set by :meth:`QuantizedNetwork.from_float`
+    #: and by the artifact loader.
     alphabets: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, x_fmt: QFormat,
@@ -200,12 +173,9 @@ class _QuantDense(_QuantLayer):
     def from_layer(cls, layer: Dense, spec: QuantizationSpec,
                    act_fmt: QFormat, lut: SigmoidLUT | None) -> "_QuantDense":
         w_int, w_fmt = spec.quantize_weights(layer.params["W"])
-        quant = cls(w_int, w_fmt, layer.params["b"].copy(), layer.activation,
-                    act_fmt, lut if layer.activation.name == "sigmoid"
-                    else None, name=layer.name)
-        quant.alphabets = (tuple(spec.alphabet_set)
-                           if spec.alphabet_set is not None else None)
-        return quant
+        return cls(w_int, w_fmt, layer.params["b"].copy(), layer.activation,
+                   act_fmt, lut if layer.activation.name == "sigmoid"
+                   else None, name=layer.name)
 
     def forward(self, x, x_fmt, backend=None):
         return _dispatch((backend or _REFERENCE), "dense", self, x, x_fmt)
@@ -231,13 +201,10 @@ class _QuantConv(_QuantLayer):
     def from_layer(cls, layer: Conv2D, spec: QuantizationSpec,
                    act_fmt: QFormat, lut: SigmoidLUT | None) -> "_QuantConv":
         w_int, w_fmt = spec.quantize_weights(layer.params["W"])
-        quant = cls(w_int, w_fmt, layer.params["b"].copy(), layer.kernel,
-                    layer.activation, act_fmt,
-                    lut if layer.activation.name == "sigmoid" else None,
-                    name=layer.name)
-        quant.alphabets = (tuple(spec.alphabet_set)
-                           if spec.alphabet_set is not None else None)
-        return quant
+        return cls(w_int, w_fmt, layer.params["b"].copy(), layer.kernel,
+                   layer.activation, act_fmt,
+                   lut if layer.activation.name == "sigmoid" else None,
+                   name=layer.name)
 
     def forward(self, x, x_fmt, backend=None):
         return _dispatch((backend or _REFERENCE), "conv", self, x, x_fmt)
@@ -264,13 +231,10 @@ class _QuantPool(_QuantLayer):
     def from_layer(cls, layer: ScaledAvgPool2D, spec: QuantizationSpec,
                    act_fmt: QFormat, lut: SigmoidLUT | None) -> "_QuantPool":
         gain_int, gain_fmt = spec.quantize_weights(layer.params["gain"])
-        quant = cls(gain_int, gain_fmt, layer.params["bias"].copy(),
-                    layer.size, layer.activation, act_fmt,
-                    lut if layer.activation.name == "sigmoid" else None,
-                    name=layer.name)
-        quant.alphabets = (tuple(spec.alphabet_set)
-                           if spec.alphabet_set is not None else None)
-        return quant
+        return cls(gain_int, gain_fmt, layer.params["bias"].copy(),
+                   layer.size, layer.activation, act_fmt,
+                   lut if layer.activation.name == "sigmoid" else None,
+                   name=layer.name)
 
     def forward(self, x, x_fmt, backend=None):
         return _dispatch((backend or _REFERENCE), "pool", self, x, x_fmt)
@@ -391,21 +355,26 @@ class QuantizedNetwork:
 
         layers: list[_QuantLayer] = []
         for layer in network.layers:
-            if isinstance(layer, Dense):
-                layers.append(_QuantDense.from_layer(
-                    layer, next_spec(), act_fmt, lut))
-            elif isinstance(layer, Conv2D):
-                layers.append(_QuantConv.from_layer(
-                    layer, next_spec(), act_fmt, lut))
-            elif isinstance(layer, ScaledAvgPool2D):
-                layers.append(_QuantPool.from_layer(
-                    layer, next_spec(), act_fmt, lut))
-            elif isinstance(layer, Flatten):
+            if isinstance(layer, Flatten):
                 layers.append(_QuantFlatten(name=layer.name))
+                continue
+            if isinstance(layer, Dense):
+                quant_cls = _QuantDense
+            elif isinstance(layer, Conv2D):
+                quant_cls = _QuantConv
+            elif isinstance(layer, ScaledAvgPool2D):
+                quant_cls = _QuantPool
             else:
                 raise TypeError(
                     f"cannot quantise layer type {type(layer).__name__}"
                 )
+            layer_spec = next_spec()
+            quant = quant_cls.from_layer(layer, layer_spec, act_fmt, lut)
+            # the fold tag: the alphabet set these weights were folded for
+            quant.alphabets = (tuple(layer_spec.alphabet_set)
+                               if layer_spec.alphabet_set is not None
+                               else None)
+            layers.append(quant)
         dense_like = [q for q in layers
                       if isinstance(q, (_QuantDense,))]
         if dense_like:
@@ -503,9 +472,8 @@ class QuantizedNetwork:
         """Persist this network as a serving artifact bundle at *path*.
 
         Convenience hook into :func:`repro.serving.artifact.save_artifact`;
-        the bundle reloads (via :func:`repro.serving.artifact.load_artifact`
-        or :class:`repro.serving.compiled.CompiledModel`) to a network whose
-        forward pass is bit-identical to this one.
+        :meth:`repro.serving.compiled.CompiledModel.load` reloads the
+        bundle to a model whose forward pass is bit-identical to this one.
         """
         from repro.serving.artifact import save_artifact
 

@@ -41,10 +41,6 @@ class TrainHistory:
     def best_accuracy(self) -> float:
         return max(self.accuracies) if self.accuracies else 0.0
 
-    @property
-    def final_accuracy(self) -> float:
-        return self.accuracies[-1] if self.accuracies else 0.0
-
 
 class Trainer:
     """Mini-batch SGD training loop with plateau-based early stopping."""

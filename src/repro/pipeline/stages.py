@@ -148,9 +148,6 @@ class FaultsResult:
     seed: int
     rows: tuple[FaultRow, ...]
 
-    def rows_for(self, design: str) -> tuple[FaultRow, ...]:
-        return tuple(row for row in self.rows if row.design == design)
-
 
 @dataclass(frozen=True)
 class EnergyDesignRow:

@@ -7,11 +7,11 @@ and serves it:
 ``repro.serving.artifact``
     Versioned on-disk bundle (``manifest.json`` + ``arrays.npz``) holding a
     :class:`~repro.nn.quantized.QuantizedNetwork`'s pre-folded effective
-    integer weights, quantisation spec and integrity hashes, with exact
-    (bit-identical) round-trip load.
+    integer weights, quantisation spec and integrity hashes.
 ``repro.serving.compiled``
-    :class:`CompiledModel` — loads a bundle straight into contiguous integer
-    matrices; no constrainer/multiplier table rebuilds on the load path.
+    :class:`CompiledModel` — the one bundle reader: loads a bundle straight
+    into contiguous integer matrices, bit-identical to the exported
+    network; no constrainer/multiplier table rebuilds on the load path.
 ``repro.serving.registry``
     Named, versioned multi-model registry for one serving process.
 ``repro.serving.batching``
@@ -27,7 +27,6 @@ and serves it:
 from repro.serving.artifact import (
     ArtifactError,
     ArtifactIntegrityError,
-    load_artifact,
     read_manifest,
     save_artifact,
 )
@@ -44,7 +43,7 @@ from repro.serving.server import create_server, main
 
 __all__ = [
     "ArtifactError", "ArtifactIntegrityError",
-    "load_artifact", "read_manifest", "save_artifact",
+    "read_manifest", "save_artifact",
     "BatchSettings", "MicroBatcher",
     "QueueFullError", "DeadlineExceededError",
     "CompiledModel",

@@ -10,7 +10,8 @@ The arrays are the *deployed* integer weights of a
 :class:`~repro.nn.quantized.QuantizedNetwork` — the Q-format rounding,
 Algorithm-1 constraining and ASM effective-weight remap have all been folded
 in at export time, so loading never touches a multiplier or constrainer
-table and a reloaded forward pass is bit-identical to the exported network
+table.  :meth:`repro.serving.compiled.CompiledModel.load` is the one
+reader; its forward pass is bit-identical to the exported network's
 (asserted in ``tests/test_serving.py``).
 
 Integrity: every array is hashed (SHA-256 over dtype, shape and bytes) and
@@ -27,12 +28,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.asm.alphabet import AlphabetSet
-from repro.asm.constraints import WeightConstrainer
 from repro.fixedpoint.qformat import QFormat
 from repro.nn.activations import SigmoidLUT, get_activation
 from repro.nn.quantized import (
-    QuantizationSpec,
     QuantizedNetwork,
     _QuantConv,
     _QuantDense,
@@ -42,7 +40,7 @@ from repro.nn.quantized import (
 
 __all__ = ["ArtifactError", "ArtifactIntegrityError", "ARTIFACT_FORMAT",
            "ARTIFACT_VERSION", "MANIFEST_NAME", "ARRAYS_NAME",
-           "save_artifact", "load_artifact", "read_manifest"]
+           "save_artifact", "read_manifest"]
 
 ARTIFACT_FORMAT = "repro-serving/model"
 ARTIFACT_VERSION = 1
@@ -228,12 +226,9 @@ def _load_arrays(path: str, manifest: dict[str, Any],
 
 def build_layers(manifest: dict[str, Any], arrays: dict[str, np.ndarray],
                  ) -> tuple[list, QFormat]:
-    """Reconstruct the quantised layer stack from a verified bundle.
-
-    Shared by :func:`load_artifact` and
-    :class:`repro.serving.compiled.CompiledModel`; neither path rebuilds
-    multiplier or constrainer tables.
-    """
+    """Reconstruct the quantised layer stack from a verified bundle
+    (for :meth:`repro.serving.compiled.CompiledModel.load`; no multiplier
+    or constrainer table is rebuilt)."""
     act_fmt = _fmt_from_json(manifest["act_fmt"])
     lut = (SigmoidLUT(output_bits=int(manifest["bits"]) - 1)
            if manifest["use_lut"] else None)
@@ -271,38 +266,3 @@ def build_layers(manifest: dict[str, Any], arrays: dict[str, np.ndarray],
         quant.alphabets = tuple(alphabets) if alphabets else None
         layers.append(quant)
     return layers, act_fmt
-
-
-def spec_from_manifest(manifest: dict[str, Any]) -> QuantizationSpec:
-    """Rebuild the :class:`QuantizationSpec` recorded in a manifest.
-
-    Only :func:`load_artifact` (the exact round-trip path) calls this; the
-    serving hot path (:class:`CompiledModel`) skips it entirely.  The
-    multiplier/constrainer tables this constructs are memoized process-wide,
-    so repeated loads are cheap.
-    """
-    bits = int(manifest["bits"])
-    alphabets = manifest["alphabets"]
-    alphabet_set = AlphabetSet(tuple(alphabets)) if alphabets else None
-    mode = manifest["constrainer_mode"]
-    constrainer = (WeightConstrainer(bits, alphabet_set, mode=mode)
-                   if alphabet_set is not None and mode is not None else None)
-    return QuantizationSpec(bits, alphabet_set, constrainer=constrainer,
-                            fallback=manifest["fallback"])
-
-
-def load_artifact(path: str) -> QuantizedNetwork:
-    """Exact round-trip load: bundle → :class:`QuantizedNetwork`.
-
-    The returned network's :meth:`forward` is bit-identical to the network
-    that was exported (same integer weights, formats, activations and LUT).
-    """
-    manifest = read_manifest(path)
-    arrays = _load_arrays(path, manifest)
-    layers, act_fmt = build_layers(manifest, arrays)
-    spatial = manifest["input_spatial"]
-    return QuantizedNetwork(
-        layers, act_fmt, spec_from_manifest(manifest),
-        name=manifest["model_name"],
-        input_spatial=tuple(spatial) if spatial else None,
-        use_lut=bool(manifest["use_lut"]))

@@ -1,13 +1,10 @@
 """Compiled models: the serving-side view of an exported network.
 
-A :class:`CompiledModel` loads an artifact bundle straight into contiguous
-integer weight matrices — the ASM effective-weight remap was folded in at
-export time, so a forward pass is pure batched integer matmul plus the
-activation/requantisation arithmetic, with **no**
-:class:`~repro.asm.multiplier.AlphabetSetMultiplier` or
-:class:`~repro.asm.constraints.WeightConstrainer` table construction on the
-load path.  (When a table *is* needed — e.g. reconstructing a spec — the
-process-wide LRU caches in :mod:`repro.asm.multiplier` make it a lookup.)
+A :class:`CompiledModel` is the one reader of an artifact bundle: it loads
+the bundle straight into contiguous integer weight matrices.  The ASM
+effective-weight remap was folded in at export time, so a forward pass is
+pure batched integer matmul plus the activation/requantisation
+arithmetic, and the load path builds no multiplier or constrainer table.
 
 Compilation is backend selection: the layer stack is the same one
 :class:`~repro.nn.quantized.QuantizedNetwork` runs, driven by the ``fast``
@@ -32,7 +29,6 @@ from repro.hardware.engine import LayerWork, NetworkTopology, ProcessingEngine
 from repro.kernels import DEFAULT_EVAL_BATCH, batched_accuracy, get_backend
 from repro.kernels.registry import KernelBackend
 from repro.nn.quantized import (
-    QuantizedNetwork,
     _QuantConv,
     _QuantDense,
     _QuantFlatten,
@@ -46,9 +42,9 @@ __all__ = ["CompiledModel"]
 class CompiledModel:
     """An immutable, inference-only model compiled from an artifact bundle.
 
-    Construct with :meth:`load` (from disk) or :meth:`from_quantized` (from
-    an in-memory :class:`QuantizedNetwork`).  ``forward``/``predict`` accept
-    float input batches exactly like :class:`QuantizedNetwork`.
+    Construct with :meth:`load`.  ``forward``/``predict`` accept float
+    input batches exactly like
+    :class:`~repro.nn.quantized.QuantizedNetwork`.
     """
 
     def __init__(self, layers: list, act_fmt: QFormat,
@@ -61,9 +57,6 @@ class CompiledModel:
         self._energy_nj: float | None = None
         self._energy_known = False
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
     @classmethod
     def load(cls, path: str) -> "CompiledModel":
         """Load and integrity-check the bundle at *path*."""
@@ -71,31 +64,6 @@ class CompiledModel:
         arrays = _load_arrays(path, manifest)
         layers, act_fmt = build_layers(manifest, arrays)
         return cls(layers, act_fmt, manifest)
-
-    @classmethod
-    def from_quantized(cls, network: QuantizedNetwork,
-                       name: str | None = None) -> "CompiledModel":
-        """Compile an in-memory quantised network (no disk round trip).
-
-        The layer objects are shared with *network*; they are never mutated
-        by inference (the fast backend's per-layer weight caches attach to
-        them, which both views share).
-        """
-        spec = network.spec
-        manifest = {
-            "model_name": name or network.name,
-            "bits": spec.bits,
-            "alphabets": (list(spec.alphabet_set)
-                          if spec.alphabet_set else None),
-            "fallback": spec.fallback,
-            "constrainer_mode": (spec.constrainer.mode
-                                 if spec.constrainer is not None else None),
-            "use_lut": network.use_lut,
-            "spec_label": network.deployment_label,
-            "input_spatial": (list(network.input_spatial)
-                              if network.input_spatial else None),
-        }
-        return cls(list(network.layers), network.act_fmt, manifest)
 
     # ------------------------------------------------------------------
     # metadata
@@ -144,14 +112,6 @@ class CompiledModel:
             elif isinstance(layer, _QuantPool):
                 total += layer.gain_int.size + layer.bias.size
         return total
-
-    @property
-    def num_outputs(self) -> int:
-        """Width of the score vector (class count)."""
-        for layer in reversed(self.layers):
-            if isinstance(layer, _QuantDense):
-                return layer.w_int.shape[1]
-        raise ValueError("model has no dense output layer")
 
     # ------------------------------------------------------------------
     # inference (same layer stack as QuantizedNetwork, fast backend)

@@ -433,6 +433,12 @@ class TestGenerators:
             factory(n_train=0, n_test=1)
 
 
+@pytest.mark.parametrize("image_size", [30, 2, 0, -4])
+def test_svhn_rejects_sizes_off_the_texture_grid(image_size):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        synthetic_svhn(n_train=1, n_test=1, image_size=image_size)
+
+
 class TestDifficultyOrdering:
     """The substitution contract: faces < mnist < svhn in
     difficulty, measured by a small fixed-budget classifier."""

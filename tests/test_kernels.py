@@ -218,12 +218,6 @@ class TestEffectiveWeightTableReuse:
         with pytest.raises(ValueError, match="fallback"):
             QuantizationSpec(8, ALPHA_2, fallback="zero")
 
-    def test_spec_multiplier_is_lazy_but_available(self):
-        spec = QuantizationSpec(8, ALPHA_2, fallback="nearest")
-        assert spec.multiplier is not None
-        assert spec.multiplier.alphabet_set is ALPHA_2
-        assert QuantizationSpec(8).multiplier is None
-
 
 class TestBatchedAccuracy:
     def predict_mod(self, x):

@@ -10,6 +10,7 @@ from repro.asm.alphabet import (
     ALPHA_2,
     ALPHA_4,
     FULL_ALPHABETS,
+    STANDARD_SETS,
 )
 from repro.asm.constraints import WeightConstrainer
 from repro.asm.decompose import UnsupportedQuartetError
@@ -18,6 +19,8 @@ from repro.asm.multiplier import (
     AlphabetSetMultiplier,
     ConventionalMultiplier,
 )
+from repro.hardware.simulator import CycleAccurateEngine
+from repro.nn.quantized import QuantizationSpec
 
 
 class TestConventionalMultiplier:
@@ -226,3 +229,62 @@ class TestDatapathCrossCheck:
         table = m.effective_weight_table()
         for w in range(-128, 128):
             assert m.multiply(w, 11) == int(table[w + 128]) * 11
+
+
+def _outcome(remap):
+    """The remapped values as a list, or the type of the error raised."""
+    try:
+        return np.asarray(remap()).tolist()
+    except (ValueError, OverflowError) as error:
+        return type(error)
+
+
+def _reference(bits, alphabet_set, fallback, weights):
+    """Expected outcome of an array remap, from the scalar datapath model:
+    a range error outranks an unsupported quartet (the array sites check
+    the range first)."""
+    try:
+        model = AlphabetSetMultiplier(bits, alphabet_set, fallback=fallback)
+    except ValueError as error:        # no quartet layout at this width
+        return type(error)
+    values, errors = [], set()
+    for weight in weights:
+        try:
+            values.append(model.effective_weight(int(weight)))
+        except (OverflowError, UnsupportedQuartetError) as error:
+            errors.add(type(error))
+    if OverflowError in errors:
+        return OverflowError
+    return UnsupportedQuartetError if errors else values
+
+
+class TestOneRemap:
+    """Every integer-domain remap site agrees with the explicit datapath:
+    the forward pass's weight fold, ``multiply_array`` and the toggle
+    simulator all return ``effective_weight``'s values, or raise the
+    error type it raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(min_value=4, max_value=12),
+           st.sampled_from(sorted(STANDARD_SETS)),
+           st.sampled_from(FALLBACK_POLICIES))
+    def test_sites_match_datapath(self, data, bits, count, fallback):
+        alphabet_set = STANDARD_SETS[count]
+        high = (1 << (bits - 1)) - 1
+        weights = np.array(data.draw(st.lists(
+            st.integers(min_value=-high - 3, max_value=high + 2),
+            min_size=1, max_size=8)), dtype=np.int64)
+        expected = _reference(bits, alphabet_set, fallback, weights)
+        assert _outcome(lambda: AlphabetSetMultiplier(
+            bits, alphabet_set, fallback=fallback).multiply_array(
+                weights, np.int64(1))) == expected
+        if fallback == "error":        # the simulator has no fallback
+            assert _outcome(lambda: CycleAccurateEngine(
+                bits, alphabet_set).remap_weights(weights)) == expected
+        # the fold quantises floats first, so it sees in-range codes only;
+        # the conventional fold returns those codes unmapped
+        floats = weights / float(high + 1)
+        codes, _ = QuantizationSpec(bits).quantize_weights(floats)
+        spec = QuantizationSpec(bits, alphabet_set, fallback=fallback)
+        assert _outcome(lambda: spec.quantize_weights(floats)[0]) == \
+            _reference(bits, alphabet_set, fallback, codes)

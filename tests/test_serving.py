@@ -29,7 +29,6 @@ from repro.serving import (
     QueueFullError,
     ServingMetrics,
     create_server,
-    load_artifact,
     read_manifest,
 )
 from repro.serving.artifact import ARRAYS_NAME, MANIFEST_NAME, ArtifactError
@@ -64,9 +63,9 @@ class TestArtifactRoundTrip:
     def test_logits_bit_identical(self, exported):
         quantized, path = exported
         x = sample_batch()
-        reloaded = load_artifact(path)
+        reloaded = CompiledModel.load(path)
         assert np.array_equal(quantized.forward(x), reloaded.forward(x))
-        assert reloaded.spec.label == quantized.spec.label
+        assert reloaded.spec_label == quantized.spec.label
         assert reloaded.name == "digits"
 
     def test_compiled_bit_identical(self, exported):
@@ -111,7 +110,7 @@ class TestArtifactRoundTrip:
         arrays["layer0:w_int"][0, 0] += 1
         np.savez(arrays_path, **arrays)
         with pytest.raises(ArtifactIntegrityError, match="integrity hash"):
-            load_artifact(path)
+            CompiledModel.load(path)
 
     def test_corrupted_manifest_rejected(self, exported):
         _, path = exported
@@ -122,13 +121,13 @@ class TestArtifactRoundTrip:
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
         with pytest.raises(ArtifactIntegrityError, match="checksum"):
-            load_artifact(path)
+            CompiledModel.load(path)
 
     def test_missing_bundle_rejected(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
         with pytest.raises(ArtifactError):
-            load_artifact(str(empty))
+            CompiledModel.load(str(empty))
 
     def test_mixed_layer_specs_preserved(self, tmp_path):
         from repro.asm.alphabet import ALPHA_4
