@@ -140,8 +140,10 @@ def effective_weights(bits: int, alphabet_set: AlphabetSet | None,
     effective = table[index]
     unsupported = effective == UNSUPPORTED_WEIGHT
     if unsupported.any():
-        bad = int(weights[unsupported].flat[0])
-        raise UnsupportedQuartetError(abs(bad), alphabet_set)
+        # the scalar datapath raises, naming the first bad weight's first
+        # unsupported quartet (the table is built from the same maps)
+        AlphabetSetMultiplier(bits, alphabet_set, fallback).effective_weight(
+            int(weights[unsupported].flat[0]))
     return effective
 
 

@@ -6,6 +6,7 @@ One console entry point for the whole flow::
     repro run cfg.json --seeds 0,1,2 --jobs 3      # multi-seed, parallel
     repro run cfg.json --trace out.jsonl           # traced run (repro.obs)
     repro experiment fig7 --full                   # paper tables/figures
+    repro experiment all --trace all.jsonl         # ... traced
     repro explore examples/configs/digits_explore.toml --jobs 4
     repro faults mnist_mlp --rates 0.001,0.01,0.05 # resiliency curves
     repro serve results/artifacts/mnist_mlp-asm2   # HTTP inference server
@@ -61,6 +62,14 @@ def _start_trace(trace_path: str | None) -> bool:
 
     obs.enable(trace_path=trace_path)
     return True
+
+
+def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trace", default=None, metavar="PATH",
+                        help="record a repro.obs span/metrics trace to "
+                             "PATH (JSONL; render with `repro stats "
+                             "PATH`); worker processes ship their spans "
+                             "and counters back into this one file")
 
 
 def _finish_trace(args: argparse.Namespace, tracing: bool) -> None:
@@ -135,12 +144,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.pipeline.stages import StageError
 
     names = tuple(EXPERIMENTS) if args.name == "all" else (args.name,)
+    tracing = _start_trace(args.trace)
     try:
         return execute(names, full=args.full, seed=args.seed,
                        write_results=args.json, jobs=args.jobs)
     except (PipelineConfigError, StageError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    finally:
+        _finish_trace(args, tracing)
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -199,6 +211,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.pipeline.stages import StageError
     from repro.utils.serialization import write_json
 
+    tracing = _start_trace(args.trace)
     try:
         rates = tuple(float(r) for r in args.rates.split(","))
         config = PipelineConfig(
@@ -220,6 +233,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    finally:
+        _finish_trace(args, tracing)
     if not args.quiet:
         print()
     print(format_resiliency_report(report))
@@ -485,9 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes for multi-config/seed runs")
     run.add_argument("--json", default=None, metavar="PATH",
                      help="also write the report(s) as JSON to PATH")
-    run.add_argument("--trace", default=None, metavar="PATH",
-                     help="record a repro.obs span/metrics trace to PATH "
-                          "(JSONL; render with `repro stats PATH`)")
+    _add_trace_flag(run)
     run.add_argument("--quiet", action="store_true",
                      help="suppress per-stage progress lines")
     run.set_defaults(func=_cmd_run)
@@ -504,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "experiments")
     experiment.add_argument("--json", action="store_true",
                             help="write results/<experiment>.json")
+    _add_trace_flag(experiment)
     experiment.set_defaults(func=_cmd_experiment)
 
     explore = sub.add_parser(
@@ -535,10 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "in the serving model registry")
     explore.add_argument("--json", default=None, metavar="PATH",
                          help="also write the ExplorationReport to PATH")
-    explore.add_argument("--trace", default=None, metavar="PATH",
-                         help="record a repro.obs span/metrics trace to "
-                              "PATH; workers ship their spans and "
-                              "counters back into this one file")
+    _add_trace_flag(explore)
     explore.add_argument("--quiet", action="store_true",
                          help="suppress per-candidate progress lines")
     explore.set_defaults(func=_cmd_explore)
@@ -573,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ignore cached stage results")
     faults.add_argument("--json", default=None, metavar="PATH",
                         help="also write the ResiliencyReport to PATH")
+    _add_trace_flag(faults)
     faults.add_argument("--quiet", action="store_true",
                         help="suppress per-stage progress lines")
     faults.set_defaults(func=_cmd_faults)
@@ -588,8 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="render a --trace file: span tree, metric table, "
                       "trace diffing, optional Chrome trace export")
     stats.add_argument("trace", nargs="?", default=None,
-                       help="path to a repro-trace JSONL file (from repro "
-                            "run/explore --trace)")
+                       help="path to a repro-trace JSONL file (from "
+                            "--trace)")
     stats.add_argument("--diff", nargs=2, default=None,
                        metavar=("A.jsonl", "B.jsonl"),
                        help="instead of rendering one trace, align two "

@@ -205,8 +205,8 @@ class FastBackend(KernelBackend):
     def train_forward(self, network, x, training=True):
         return train_forward_fast(network, x, training)
 
-    def train_backward(self, network, grad):
-        return train_backward_fast(network, grad)
+    def train_backward(self, network, grad, input_grad=True):
+        return train_backward_fast(network, grad, input_grad)
 
     def sgd_update(self, network, velocity, rate, momentum):
         sgd_update_fast(network, velocity, rate, momentum)

@@ -134,8 +134,8 @@ class ReferenceBackend(KernelBackend):
     def train_forward(self, network, x, training=True):
         return train_forward_reference(network, x, training)
 
-    def train_backward(self, network, grad):
-        return train_backward_reference(network, grad)
+    def train_backward(self, network, grad, input_grad=True):
+        return train_backward_reference(network, grad, input_grad)
 
     def sgd_update(self, network, velocity, rate, momentum):
         sgd_update_reference(network, velocity, rate, momentum)

@@ -116,10 +116,12 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def train_backward(self, network, grad):
+    def train_backward(self, network, grad, input_grad=True):
         """Backpropagate *grad* through the last ``train_forward`` pass,
         filling every layer's ``grads`` and returning the input
-        gradient."""
+        gradient — or, when not *input_grad*, stopping once the lowest
+        layer with parameters has its ``grads`` and returning ``None``
+        (:mod:`repro.kernels.training`)."""
         raise NotImplementedError
 
     def sgd_update(self, network, velocity, rate, momentum):

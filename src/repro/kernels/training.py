@@ -31,14 +31,35 @@ inference, simulation and projection kernels already have:
       ``tanh'(z) = 1-a*a`` and ``relu'(z) = (a > 0)``;
     * ``im2col`` becomes a cached gather (pure data movement) and
       ``col2im`` keeps the reference scatter-accumulate loop order;
-    * the conv gradient contractions stay ``einsum`` (a BLAS-shaped
-      rewrite would change the summation order and break bit-identity);
+    * the sigmoid is ``e = exp(-|z|)``, then ``1/(1+e)`` where
+      ``z >= 0`` and ``e/(1+e)`` elsewhere, with no boolean-mask gather
+      or scatter: ``-|z|`` is ``-z`` for ``z >= 0`` and ``z`` for
+      ``z < 0`` (``exp(-0.0) == exp(+0.0)`` covers ``z = -0.0``) and
+      ``np.exp`` is elementwise, so every element takes the operations
+      of :meth:`Sigmoid.forward`'s branch for it (NaN inputs aside).
+      The numerator is the branch-free ``maximum(e, z >= 0)``: 1 where
+      ``z >= 0``, since there ``e = exp(-z) <= exp(0) == 1``, and ``e``
+      elsewhere, since ``e >= 0``;
     * ``v = m*v - r*g; p = p + v`` becomes ``v *= m; v -= r*g; p += v``
       — the same multiply / multiply / subtract / add per element.
 
     Layer types or activations outside the planned set fall back to the
     layer's own ``forward``/``backward`` per layer, so the backend is
     bit-identical to ``reference`` unconditionally.
+
+Input-gradient contract
+    ``train_backward(network, grad, input_grad=True)`` returns the
+    gradient with respect to the network input, as
+    :meth:`Sequential.backward` always has.  With ``input_grad=False``
+    both backends stop once the lowest layer with parameters has filled
+    its ``grads`` and return ``None``: a training step never reads the
+    input gradient.  The reference still calls each visited layer's
+    ``backward`` verbatim (the layers below are skipped); the fast plans
+    skip the lowest layer's input-gradient work — the dense
+    ``grad_z @ W.T`` GEMM, or the conv ``bop,ok->bpk`` contraction and
+    its col2im loop.  Every layer's ``grads`` are bitwise the same
+    either way, because no parameter gradient depends on a gradient
+    computed below it.
 
 Plans live on the layer objects (``layer._train_cache``) exactly like
 the inference-kernel caches, and never capture parameter *arrays* —
@@ -73,11 +94,24 @@ def train_forward_reference(network, x: np.ndarray,
     return x
 
 
-def train_backward_reference(network, grad: np.ndarray) -> np.ndarray:
-    """The original :meth:`Sequential.backward` layer loop."""
-    for layer in reversed(network.layers):
+def _backward_layers(network, input_grad: bool) -> list:
+    """The layers a backward pass visits, top layer first: all of them,
+    or without *input_grad* those down to the lowest with parameters."""
+    layers = network.layers
+    if not input_grad:
+        lowest = next((index for index, layer in enumerate(layers)
+                       if layer.is_trainable), len(layers))
+        layers = layers[lowest:]
+    return layers[::-1]
+
+
+def train_backward_reference(network, grad: np.ndarray,
+                             input_grad: bool = True) -> np.ndarray | None:
+    """The original :meth:`Sequential.backward` layer loop (see the
+    module docstring for *input_grad*)."""
+    for layer in _backward_layers(network, input_grad):
         grad = layer.backward(grad)
-    return grad
+    return grad if input_grad else None
 
 
 def sgd_update_reference(network, velocity: dict, rate: float,
@@ -136,10 +170,11 @@ def _fused_activation(activation) -> bool:
     return type(activation) in (_IDENTITY, _SIGMOID, _TANH, _RELU)
 
 
-def _activation_forward(activation, z: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
+def _activation_forward(activation, z: np.ndarray, out: np.ndarray,
+                        scratch: np.ndarray) -> np.ndarray:
     """``activation.forward(z)`` written into *out* (or ``z`` itself for
-    the identity, matching the reference's pass-through)."""
+    the identity, matching the reference's pass-through); *scratch* is
+    a buffer of ``z``'s shape the sigmoid may overwrite."""
     kind = type(activation)
     if kind is _IDENTITY:
         return z
@@ -147,13 +182,14 @@ def _activation_forward(activation, z: np.ndarray,
         return np.tanh(z, out=out)
     if kind is _RELU:
         return np.maximum(z, 0.0, out=out)
-    # Sigmoid: the same numerically stable positive/negative split as
-    # Sigmoid.forward, destination aside.
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    ez = np.exp(z[~positive])
-    out[~positive] = ez / (1.0 + ez)
-    return out
+    # Sigmoid.forward's two branches, branch-free (module docstring):
+    # 1/(1+e) where z >= 0 and e/(1+e) elsewhere, e = exp(-|z|)
+    e = np.abs(z, out=scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(1.0, e, out=out)
+    np.maximum(e, z >= 0, out=e)
+    return np.divide(e, out, out=out)
 
 
 def _activation_backward(activation, a: np.ndarray, grad_out: np.ndarray,
@@ -199,15 +235,19 @@ class _DensePlan:
         np.matmul(x, layer.params["W"], out=self.z)
         self.z += layer.params["b"]
         self.x = x
-        self.out = _activation_forward(layer.activation, self.z, self.a)
+        self.out = _activation_forward(layer.activation, self.z, self.a,
+                                       self.d)
         return self.out
 
-    def backward(self, layer, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, layer, grad_out: np.ndarray,
+                 input_grad: bool) -> np.ndarray | None:
         grad_z = _activation_backward(layer.activation, self.out,
                                       grad_out, self.d)
         np.matmul(self.x.T, grad_z, out=self.gw)
         np.sum(grad_z, axis=0, out=self.gb)
         layer.grads = {"W": self.gw, "b": self.gb}
+        if not input_grad:
+            return None
         np.matmul(grad_z, layer.params["W"].T, out=self.gx)
         return self.gx
 
@@ -263,10 +303,12 @@ class _ConvPlan:
         kernels = layer.params["W"].reshape(layer.out_channels, -1)
         np.matmul(self.cols, kernels.T, out=self.z3)
         self.z3 += layer.params["b"]
-        self.out = _activation_forward(layer.activation, self.z4, self.a4)
+        self.out = _activation_forward(layer.activation, self.z4, self.a4,
+                                       self.d4)
         return self.out
 
-    def backward(self, layer, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, layer, grad_out: np.ndarray,
+                 input_grad: bool) -> np.ndarray | None:
         batch = grad_out.shape[0]
         grad_z = _activation_backward(layer.activation, self.out,
                                       grad_out, self.d4)
@@ -277,6 +319,8 @@ class _ConvPlan:
             grad_w *= layer.connection_table[:, :, None, None]
         np.sum(flat, axis=(0, 2), out=self.gb)
         layer.grads = {"W": grad_w, "b": self.gb}
+        if not input_grad:
+            return None
         kernels = layer.params["W"].reshape(layer.out_channels, -1)
         np.einsum("bop,ok->bpk", flat, kernels, out=self.gcols)
         # col2im with the buffer preallocated; the (di, dj) loop order is
@@ -331,10 +375,12 @@ class _PoolPlan:
         np.multiply(self.pooled, layer.params["gain"][:, None, None],
                     out=self.z)
         np.add(self.z, layer.params["bias"][:, None, None], out=self.z)
-        self.out = _activation_forward(layer.activation, self.z, self.a)
+        self.out = _activation_forward(layer.activation, self.z, self.a,
+                                       self.d)
         return self.out
 
-    def backward(self, layer, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, layer, grad_out: np.ndarray,
+                 input_grad: bool) -> np.ndarray | None:
         batch, channels, height, width = self.x_shape
         s = layer.size
         grad_z = _activation_backward(layer.activation, self.out,
@@ -343,6 +389,8 @@ class _PoolPlan:
         np.sum(self.tmp, axis=(0, 2, 3), out=self.ggain)
         np.sum(grad_z, axis=(0, 2, 3), out=self.gbias)
         layer.grads = {"gain": self.ggain, "bias": self.gbias}
+        if not input_grad:
+            return None
         np.multiply(grad_z, layer.params["gain"][:, None, None],
                     out=self.gp)
         self.gp /= (s * s)
@@ -426,14 +474,19 @@ def train_forward_fast(network, x: np.ndarray,
     return x
 
 
-def train_backward_fast(network, grad: np.ndarray) -> np.ndarray:
-    for layer in reversed(network.layers):
+def train_backward_fast(network, grad: np.ndarray,
+                        input_grad: bool = True) -> np.ndarray | None:
+    """Planned backward pass; without *input_grad* the lowest layer's
+    plan skips its input-gradient work (module docstring)."""
+    layers = _backward_layers(network, input_grad)
+    for depth, layer in enumerate(layers, start=1):
         plan = _train_cache(layer).get("active")
         if plan is None:
             grad = layer.backward(grad)
         else:
-            grad = plan.backward(layer, grad)
-    return grad
+            grad = plan.backward(layer, grad,
+                                 input_grad or depth < len(layers))
+    return grad if input_grad else None
 
 
 def sgd_update_fast(network, velocity: dict, rate: float,

@@ -60,8 +60,12 @@ class Sequential:
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         return self._train_kernel.train_forward(self, x, training)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self._train_kernel.train_backward(self, grad)
+    def backward(self, grad: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Fill every layer's ``grads`` from the output gradient *grad*;
+        returns the input gradient, or ``None`` when *input_grad* is off
+        and the backward pass stops at the lowest trainable layer."""
+        return self._train_kernel.train_backward(self, grad, input_grad)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class index per sample (argmax over the output layer)."""

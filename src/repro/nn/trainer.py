@@ -91,7 +91,7 @@ class Trainer:
             index = order[start:start + self.batch_size]
             outputs = self.network.forward(x[index], training=True)
             loss_value, grad = self.loss(outputs, y_onehot[index])
-            self.network.backward(grad)
+            self.network.backward(grad, input_grad=False)
             self.optimizer.step()
             if self.post_step is not None:
                 self.post_step()

@@ -16,7 +16,9 @@ reader; its forward pass is bit-identical to the exported network's
 
 Integrity: every array is hashed (SHA-256 over dtype, shape and bytes) and
 the manifest carries a checksum over its own canonical JSON.  Any mismatch
-raises :class:`ArtifactIntegrityError` at load.
+raises :class:`ArtifactIntegrityError` at load.  Every ``arrays.npz``
+member carries one fixed zip timestamp, so a bundle's bytes depend only
+on the network.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from typing import Any
 
 import numpy as np
@@ -46,6 +49,9 @@ ARTIFACT_FORMAT = "repro-serving/model"
 ARTIFACT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
+
+#: The timestamp of every ``arrays.npz`` member (the zip format's epoch).
+_ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 class ArtifactError(Exception):
@@ -163,11 +169,21 @@ def save_artifact(network: QuantizedNetwork, path: str,
     manifest["checksum"] = _manifest_digest(manifest)
 
     os.makedirs(path, exist_ok=True)
-    np.savez(os.path.join(path, ARRAYS_NAME), **arrays)
+    _write_arrays(os.path.join(path, ARRAYS_NAME), arrays)
     with open(os.path.join(path, MANIFEST_NAME), "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
+
+
+def _write_arrays(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """``np.savez(path, **arrays)`` with every member stamped
+    :data:`_ZIP_DATE_TIME` instead of whatever the zip writer picks."""
+    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+        for key, value in arrays.items():
+            info = zipfile.ZipInfo(f"{key}.npy", date_time=_ZIP_DATE_TIME)
+            with archive.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, value, allow_pickle=False)
 
 
 # ----------------------------------------------------------------------

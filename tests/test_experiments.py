@@ -192,6 +192,23 @@ class TestRunnerEntryPoints:
         assert main(["experiment", "fig8", "--json"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_traced_experiment_records_train_step(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """``repro experiment --trace`` accounts the training kernels."""
+        from repro import obs
+        from repro.cli import main
+        from repro.obs.stats import load_trace
+        monkeypatch.chdir(tmp_path)
+        try:
+            assert main(["experiment", "export", "--trace", "t.jsonl"]) == 0
+        finally:
+            obs.reset()
+        assert "[trace written to t.jsonl" in capsys.readouterr().out
+        seconds = [row["value"] for row in load_trace("t.jsonl").metrics
+                   if row["name"] == "kernels.seconds"
+                   and row["labels"]["kernel"] == "train_step"]
+        assert len(seconds) == 1 and seconds[0] > 0
+
     def test_unknown_experiment_is_a_clean_error(self, capsys):
         from repro.cli import main
         assert main(["experiment", "fig99"]) == 1

@@ -18,6 +18,7 @@ from repro.asm.multiplier import (
     FALLBACK_POLICIES,
     AlphabetSetMultiplier,
     ConventionalMultiplier,
+    effective_weights,
 )
 from repro.hardware.simulator import CycleAccurateEngine
 from repro.nn.quantized import QuantizationSpec
@@ -232,9 +233,12 @@ class TestDatapathCrossCheck:
 
 
 def _outcome(remap):
-    """The remapped values as a list, or the type of the error raised."""
+    """The remapped values as a list, or the type of the error raised
+    (with the quartet it names, for an unsupported quartet)."""
     try:
         return np.asarray(remap()).tolist()
+    except UnsupportedQuartetError as error:
+        return UnsupportedQuartetError, error.value
     except (ValueError, OverflowError) as error:
         return type(error)
 
@@ -242,20 +246,20 @@ def _outcome(remap):
 def _reference(bits, alphabet_set, fallback, weights):
     """Expected outcome of an array remap, from the scalar datapath model:
     a range error outranks an unsupported quartet (the array sites check
-    the range first)."""
+    the range first), and the first bad weight names the quartet."""
     try:
         model = AlphabetSetMultiplier(bits, alphabet_set, fallback=fallback)
     except ValueError as error:        # no quartet layout at this width
         return type(error)
-    values, errors = [], set()
+    values, quartets = [], []
     for weight in weights:
         try:
             values.append(model.effective_weight(int(weight)))
-        except (OverflowError, UnsupportedQuartetError) as error:
-            errors.add(type(error))
-    if OverflowError in errors:
-        return OverflowError
-    return UnsupportedQuartetError if errors else values
+        except OverflowError:
+            return OverflowError
+        except UnsupportedQuartetError as error:
+            quartets.append(error.value)
+    return (UnsupportedQuartetError, quartets[0]) if quartets else values
 
 
 class TestOneRemap:
@@ -288,3 +292,10 @@ class TestOneRemap:
         spec = QuantizationSpec(bits, alphabet_set, fallback=fallback)
         assert _outcome(lambda: spec.quantize_weights(floats)[0]) == \
             _reference(bits, alphabet_set, fallback, codes)
+
+    def test_error_names_the_quartet(self):
+        """Weight 105 is quartets (9, 6) at 8 bits; {1,3} lacks 9."""
+        with pytest.raises(UnsupportedQuartetError) as raised:
+            effective_weights(8, ALPHA_2, np.array([3, -105, 11]))
+        assert raised.value.value == 9
+        assert "quartet value 9 " in str(raised.value)

@@ -10,6 +10,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import zipfile
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ class TestArtifactRoundTrip:
         assert compiled.input_spatial == (32, 32)
         # conv topology and energy derive from the stored spatial metadata
         assert compiled.energy_per_inference_nj() > 0
+
+    def test_bundle_bytes_reproducible(self, tmp_path):
+        """Two exports of one network are the same files byte for byte;
+        the zip members carry no write time."""
+        quantized = make_quantized()
+        first = quantized.export(str(tmp_path / "first"))
+        second = quantized.export(str(tmp_path / "second"))
+        for name in (MANIFEST_NAME, ARRAYS_NAME):
+            with open(os.path.join(first, name), "rb") as a, \
+                    open(os.path.join(second, name), "rb") as b:
+                assert a.read() == b.read(), name
+        with zipfile.ZipFile(os.path.join(first, ARRAYS_NAME)) as archive:
+            assert {info.date_time for info in archive.infolist()} == \
+                {(1980, 1, 1, 0, 0, 0)}
 
     def test_manifest_metadata(self, exported):
         _, path = exported

@@ -14,10 +14,15 @@ neutrality and the epoch telemetry counters.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro import obs
 from repro.asm.alphabet import ALPHA_2
 from repro.kernels import get_backend
+from repro.kernels.training import _activation_forward, _fused_activation
+from repro.nn.activations import Sigmoid
 from repro.nn.layers import Conv2D, Dense, Flatten, ScaledAvgPool2D
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
@@ -194,6 +199,80 @@ class TestDirectKernelParity:
         ref = net_ref.forward(x.astype(np.float64))
         fast = net_fast.forward(x)
         np.testing.assert_allclose(ref, fast, rtol=1e-6)
+
+
+def grads_bytes(network):
+    return [(key, layer.grads[key].tobytes())
+            for layer in network.layers for key in sorted(layer.grads)]
+
+
+def build_flatten_first(seed=3):
+    """No parameters below the first trainable layer."""
+    rng = np.random.default_rng(seed)
+    return Sequential([Flatten(), Dense(8, 10, activation="sigmoid",
+                                        rng=rng)])
+
+
+class TestInputGradSkip:
+    """``train_backward(..., input_grad=False)`` — the trainer's call —
+    returns ``None`` and leaves every layer's ``grads`` as the full
+    backward pass does."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("build, shape", [
+        (build_mlp, (20,)),
+        (build_conv, (2, 14, 14)),
+        (lambda: build_conv(table=True), (2, 14, 14)),
+        (build_flatten_first, (2, 2, 2)),
+    ], ids=["mlp", "conv", "conv_table", "flatten_first"])
+    def test_grads_match_full_pass(self, backend, build, shape):
+        be = get_backend(backend)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(9, *shape))
+        grad = rng.normal(size=(9, 10))
+        full, skipped = build(), build()
+        be.train_forward(full, x)
+        assert be.train_backward(full, grad).shape == x.shape
+        be.train_forward(skipped, x)
+        assert be.train_backward(skipped, grad, input_grad=False) is None
+        assert grads_bytes(skipped) == grads_bytes(full)
+
+
+#: float64 sigmoid inputs that seek out the edges: ±0.0, subnormals and
+#: ±inf (all drawn by ``st.floats``), |z| where exp(-|z|) rounds to 1,
+#: and |z| where exp over/underflows
+_SIGMOID_INPUTS = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(min_value=700.0, max_value=750.0),
+    st.floats(min_value=-750.0, max_value=-700.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.2250738585072014e-308, 2.0 ** -53, -2.0 ** -53,
+                     2.0 ** -52, -2.0 ** -52, 708.3964185322641,
+                     709.782712893384, -709.782712893384,
+                     745.1332191019411, -745.1332191019411]))
+
+
+class TestMaskFreeSigmoid:
+    """The fast plans' sigmoid, ``e = exp(-|z|)`` then ``1/(1+e)`` or
+    ``e/(1+e)``, is byte for byte ``Sigmoid.forward``.
+
+    NaN is not drawn: a NaN input gives NaN on both paths, but
+    ``-|z|`` may flip its sign bit, which ``tobytes()`` would show.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3,
+                                           max_side=9),
+                  elements=_SIGMOID_INPUTS),
+           st.booleans())
+    def test_bytes_equal_sigmoid_forward(self, z, transposed):
+        if transposed:        # a strided input, like a conv plan's view
+            z = z.T
+        activation = Sigmoid()
+        assert _fused_activation(activation)
+        fast = _activation_forward(activation, z, np.empty_like(z),
+                                   np.empty(z.shape))
+        assert fast.tobytes() == activation.forward(z).tobytes()
 
 
 # ----------------------------------------------------------------------
