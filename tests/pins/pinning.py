@@ -18,6 +18,13 @@ Pinned entries (all seeded, none trained, so none depends on the host):
   standard alphabet set under every fallback / constraint mode;
 * ``toggles/<design>`` -- toggle counts and cycles of one simulated
   dense layer;
+* ``neuron/<bits>b/<design>`` -- the iso-speed ``make_neuron(...).cost()``
+  figures of the conventional and every standard-set neuron at 8 and 12
+  bits;
+* ``engine/<app>/<design>`` -- labels, cycles, energy and area of the
+  analytic engine run of each ``forward`` lowering's per-layer plan;
+* ``served_energy/<app>/<design>`` -- ``CompiledModel.load(bundle)
+  .energy_per_inference_nj()`` of each exported bundle;
 * ``rtl/...`` -- the generated Verilog text;
 * ``config/<file>/...`` -- the config digest, every planned stage key
   and the dataset key of each ``examples/configs`` file (TOML files need
@@ -30,6 +37,7 @@ counts).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -52,6 +60,8 @@ from repro.asm.multiplier import (  # noqa: E402
 )
 from repro.datasets.registry import BENCHMARKS, build_model  # noqa: E402
 from repro.explore.space import SearchSpace  # noqa: E402
+from repro.hardware.engine import ProcessingEngine  # noqa: E402
+from repro.hardware.neuron import make_neuron  # noqa: E402
 from repro.hardware.simulator import CycleAccurateEngine  # noqa: E402
 from repro.nn.quantized import (  # noqa: E402
     QuantizationSpec,
@@ -64,6 +74,7 @@ from repro.rtl.generator import (  # noqa: E402
     generate_conventional_mac,
     generate_precompute_bank,
 )
+from repro.serving.compiled import CompiledModel  # noqa: E402
 from repro.training.mixed import paper_mixed_plan  # noqa: E402
 from repro.utils.serialization import load_mapping  # noqa: E402
 
@@ -114,6 +125,17 @@ def _inputs(app: str) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=shape)
 
 
+def _plan(app: str, design: str, model) -> list:
+    """Per-parameterised-layer alphabet plan of *design* on *model*."""
+    kind = parse_design(design)
+    if kind is None or isinstance(kind, int):
+        aset = None if kind is None else standard_set(kind)
+        return [aset] * len(model.trainable_layers)
+    return (paper_mixed_plan(app, model) if kind == "mixed" else
+            [None if count == 0 else standard_set(count)
+             for count in kind])
+
+
 def lower(app: str, design: str) -> QuantizedNetwork:
     """``build_model(app, seed=0)`` lowered for *design* at 8 bits,
     the way the pipeline's ``design_quantized`` lowers constrained
@@ -126,9 +148,7 @@ def lower(app: str, design: str) -> QuantizedNetwork:
     if isinstance(kind, int):
         return QuantizedNetwork.from_float(
             model, QuantizationSpec.constrained(BITS, standard_set(kind)))
-    plan = (paper_mixed_plan(app, model) if kind == "mixed" else
-            [None if count == 0 else standard_set(count)
-             for count in kind])
+    plan = _plan(app, design, model)
     layer_specs = [QuantizationSpec(BITS) if aset is None else
                    QuantizationSpec.constrained(BITS, aset)
                    for aset in plan]
@@ -145,10 +165,13 @@ def _npz_sha(path: str) -> str:
     return digest.hexdigest()
 
 
+def _lowerings() -> list[tuple[str, str]]:
+    return [(app, design) for app in BENCHMARKS
+            for design in UNIFORM_DESIGNS] + list(EXTRA_DESIGNS)
+
+
 def _networks(pins: dict, mismatches: list, workdir: str) -> None:
-    lowerings = [(app, design) for app in BENCHMARKS
-                 for design in UNIFORM_DESIGNS] + list(EXTRA_DESIGNS)
-    for app, design in lowerings:
+    for app, design in _lowerings():
         tag = f"{app}/{design}"
         network = lower(app, design)
         x = _inputs(app)
@@ -163,6 +186,8 @@ def _networks(pins: dict, mismatches: list, workdir: str) -> None:
             pins[f"artifact/{tag}/manifest.json"] = _sha(handle.read())
         pins[f"artifact/{tag}/arrays.npz"] = _npz_sha(
             os.path.join(path, "arrays.npz"))
+        pins[f"served_energy/{tag}"] = _json_sha(
+            CompiledModel.load(path).energy_per_inference_nj())
 
 
 def _tables(pins: dict) -> None:
@@ -195,6 +220,28 @@ def _toggles(pins: dict, mismatches: list) -> None:
         pins[f"toggles/{design}"] = _json_sha(counts[0])
         if counts[0] != counts[1]:
             mismatches.append(f"toggles/{design}: fast != reference")
+
+
+def _neurons(pins: dict) -> None:
+    designs = [("conventional", None)] + [
+        (f"asm{count}", aset) for count, aset in STANDARD_SETS.items()]
+    for bits in TABLE_BITS:
+        for design, aset in designs:
+            pins[f"neuron/{bits}b/{design}"] = _json_sha(
+                dataclasses.asdict(make_neuron(bits, aset).cost()))
+
+
+def _engines(pins: dict) -> None:
+    engine = ProcessingEngine(BITS)
+    for app, design in _lowerings():
+        model = build_model(app, seed=0)
+        report = engine.run(model.topology(), _plan(app, design, model))
+        pins[f"engine/{app}/{design}"] = _json_sha({
+            "design_label": report.design_label,
+            "layer_labels": [layer.alphabet_label
+                             for layer in report.layers],
+            "cycles": report.cycles, "energy_nj": report.energy_nj,
+            "area_um2": report.area_um2})
 
 
 def _rtl(pins: dict) -> None:
@@ -249,6 +296,8 @@ def compute() -> tuple[dict[str, str], list[str]]:
         _networks(pins, mismatches, workdir)
     _tables(pins)
     _toggles(pins, mismatches)
+    _neurons(pins)
+    _engines(pins)
     _rtl(pins)
     _configs(pins)
     return pins, mismatches

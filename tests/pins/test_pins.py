@@ -34,7 +34,8 @@ def test_behaviour_pins_unchanged():
 def test_manifest_covers_every_entry_kind():
     names = pinning.load_manifest()
     for prefix in ("forward/", "artifact/", "table/effective/",
-                   "table/constrainer/", "toggles/", "rtl/asm_mac/",
+                   "table/constrainer/", "toggles/", "neuron/", "engine/",
+                   "served_energy/", "rtl/asm_mac/",
                    "rtl/conventional_mac/", "rtl/precompute_bank/",
                    "config/digits_ladder.toml/stage/constrain",
                    "config/digits_explore.toml/digest"):
