@@ -11,6 +11,7 @@ from itertools import combinations
 from conftest import emit
 
 from repro.asm.alphabet import STANDARD_SETS, AlphabetSet
+from repro.asm.multiplier import Multiplier
 from repro.hardware.neuron import make_neuron
 from repro.hardware.report import format_table
 
@@ -31,7 +32,7 @@ def test_ablation_alphabet_sweep(benchmark):
         results = []
         for aset in _candidate_sets():
             coverage = aset.coverage(4)
-            cost = make_neuron(8, aset).cost()
+            cost = make_neuron(8, Multiplier(aset)).cost()
             results.append((aset, coverage, cost.area_um2))
         return results
 

@@ -11,6 +11,7 @@ from conftest import emit
 
 from repro.asm.alphabet import ALPHA_1
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import Multiplier
 from repro.hardware.engine import LayerWork, NetworkTopology, ProcessingEngine
 from repro.hardware.report import format_table
 from repro.hardware.simulator import CycleAccurateEngine
@@ -29,7 +30,7 @@ def test_ablation_cycle_accurate_energy(benchmark):
     dense_inputs = rng.integers(-120, 120, size=FAN_IN)
 
     def simulate_sparsities():
-        sim = CycleAccurateEngine(8, ALPHA_1)
+        sim = CycleAccurateEngine(8, Multiplier(ALPHA_1))
         traces = {}
         for sparsity in (0.0, 0.5, 0.9):
             inputs = dense_inputs.copy()
@@ -41,7 +42,7 @@ def test_ablation_cycle_accurate_energy(benchmark):
     traces = benchmark.pedantic(simulate_sparsities, rounds=3, iterations=1)
 
     topo = NetworkTopology("layer", (LayerWork("fc", NEURONS, FAN_IN),))
-    analytic = ProcessingEngine(8, ALPHA_1).run(topo).energy_nj
+    analytic = ProcessingEngine(8, Multiplier(ALPHA_1)).run(topo).energy_nj
     rows = [["analytic (data-blind)", "-", f"{analytic:.4f}", "-"]]
     for sparsity, trace in sorted(traces.items()):
         rows.append([f"simulated, sparsity {sparsity:.0%}",

@@ -13,6 +13,7 @@ from conftest import TINY, emit
 
 from repro.asm.alphabet import ALPHA_1
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import Multiplier
 from repro.datasets import build_model, load_dataset
 from repro.hardware.report import format_table
 from repro.nn.optim import SGD
@@ -32,7 +33,7 @@ def _run():
     baseline = QuantizedNetwork.from_float(
         model, QuantizationSpec(8)).accuracy(data.flat_test, data.y_test)
     posthoc = QuantizedNetwork.from_float(
-        model, QuantizationSpec(8, ALPHA_1, fallback="nearest"),
+        model, QuantizationSpec(8, Multiplier(ALPHA_1), fallback="nearest"),
     ).accuracy(data.flat_test, data.y_test)
 
     projector = ConstraintProjector(model, 8, ALPHA_1)
@@ -42,7 +43,8 @@ def _run():
                   data.y_test, max_epochs=TINY.retrain_epochs)
     constrainer = WeightConstrainer(8, ALPHA_1)
     retrained = QuantizedNetwork.from_float(
-        model, QuantizationSpec(8, ALPHA_1, constrainer=constrainer),
+        model, QuantizationSpec(8, Multiplier(ALPHA_1),
+                                constrainer=constrainer),
     ).accuracy(data.flat_test, data.y_test)
     return baseline, posthoc, retrained
 

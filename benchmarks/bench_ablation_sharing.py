@@ -9,6 +9,7 @@ ASMs falling with sharing while the MAN (bankless) is indifferent.
 from conftest import emit
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_4
+from repro.asm.multiplier import Multiplier
 from repro.hardware.neuron import NeuronConfig, make_neuron
 from repro.hardware.report import format_table
 
@@ -19,7 +20,7 @@ def test_ablation_sharing_factor(benchmark):
         for share in (1, 2, 4, 8):
             config = NeuronConfig(share_units=share)
             for aset in (ALPHA_4, ALPHA_1):
-                cost = make_neuron(8, aset, config=config).cost()
+                cost = make_neuron(8, Multiplier(aset), config=config).cost()
                 results[(share, str(aset))] = cost
         return results
 

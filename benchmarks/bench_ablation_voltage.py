@@ -10,6 +10,7 @@ MAN energy advantage — an extension the paper leaves on the table.
 from conftest import emit
 
 from repro.asm.alphabet import ALPHA_1
+from repro.asm.multiplier import Multiplier
 from repro.hardware.neuron import make_neuron
 from repro.hardware.report import format_table
 from repro.hardware.technology import IBM45, scaled_technology
@@ -25,7 +26,7 @@ def test_ablation_voltage_scaling(benchmark):
         for vdd, delay_ratio in VOLTAGE_POINTS.items():
             tech = scaled_technology(IBM45, f"vdd{vdd:g}",
                                      vdd_ratio=vdd, delay_ratio=delay_ratio)
-            man = make_neuron(8, ALPHA_1, tech=tech)
+            man = make_neuron(8, Multiplier(ALPHA_1), tech=tech)
             results[vdd] = (man.cost(), man.critical_path_ps,
                             man.period_ps)
         return conv_nominal, results

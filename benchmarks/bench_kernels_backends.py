@@ -14,6 +14,7 @@ import numpy as np
 from conftest import emit, emit_json
 
 from repro.asm.alphabet import ALPHA_2
+from repro.asm.multiplier import Multiplier
 from repro.datasets.registry import lenet, mlp
 from repro.hardware.report import format_table
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
@@ -51,11 +52,12 @@ def _measure(quantized: QuantizedNetwork, x: np.ndarray) -> dict:
 def test_dense_and_conv_backends(benchmark):
     dense_net = QuantizedNetwork.from_float(
         mlp([1024, 100, 10], name="digits", seed=2),
-        QuantizationSpec.constrained(8, ALPHA_2))
+        QuantizationSpec.constrained(8, Multiplier(ALPHA_2)))
     x_dense = RNG.uniform(-1.0, 1.0, size=(N_DENSE, 1024))
 
     conv_net = QuantizedNetwork.from_float(
-        lenet(10, seed=3), QuantizationSpec.constrained(12, ALPHA_2))
+        lenet(10, seed=3),
+        QuantizationSpec.constrained(12, Multiplier(ALPHA_2)))
     x_conv = RNG.uniform(-1.0, 1.0, size=(N_CONV, 1, 32, 32))
 
     results = {

@@ -20,6 +20,7 @@ from conftest import emit, emit_json
 
 from repro import obs
 from repro.asm.alphabet import ALPHA_2
+from repro.asm.multiplier import Multiplier
 from repro.datasets.registry import mlp
 from repro.hardware.report import format_table
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
@@ -53,7 +54,8 @@ def test_disabled_obs_overhead_under_one_percent(benchmark):
     obs.reset()                                  # obs must be OFF
     quantized = QuantizedNetwork.from_float(
         mlp([1024, 100, 10], name="digits", seed=2),
-        QuantizationSpec.constrained(8, ALPHA_2)).with_backend("fast")
+        QuantizationSpec.constrained(8, Multiplier(ALPHA_2)),
+    ).with_backend("fast")
     x = RNG.uniform(-1.0, 1.0, size=(N, 1024))
 
     backend = quantized._backend

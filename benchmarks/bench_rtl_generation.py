@@ -9,7 +9,11 @@ from conftest import emit
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
 from repro.asm.constraints import WeightConstrainer
-from repro.asm.multiplier import AlphabetSetMultiplier
+from repro.asm.multiplier import (
+    CONVENTIONAL,
+    AlphabetSetMultiplier,
+    Multiplier,
+)
 from repro.hardware.report import format_table
 from repro.rtl import (
     evaluate_mac_product,
@@ -23,7 +27,7 @@ def test_rtl_generation_and_equivalence(benchmark):
     def generate_and_check():
         results = []
         for bits in (8, 12):
-            results.append((module_name(bits, None),
+            results.append((module_name(bits, CONVENTIONAL),
                             len(generate_conventional_mac(bits).splitlines()),
                             "n/a"))
             for aset in (ALPHA_4, ALPHA_2, ALPHA_1):
@@ -38,7 +42,7 @@ def test_rtl_generation_and_equivalence(benchmark):
                     assert evaluate_mac_product(source, weight, 57, bits) \
                         == model.multiply(weight, 57)
                     checked += 1
-                results.append((module_name(bits, aset),
+                results.append((module_name(bits, Multiplier(aset)),
                                 len(source.splitlines()), checked))
         return results
 

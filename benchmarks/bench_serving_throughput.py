@@ -14,10 +14,12 @@ from conftest import emit
 
 from repro.asm.alphabet import ALPHA_2
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import Multiplier
 from repro.datasets.registry import mlp
 from repro.hardware.report import format_table
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.serving import BatchSettings, CompiledModel, MicroBatcher
+from repro.serving.artifact import save_artifact
 
 N_SAMPLES = 256
 RNG = np.random.default_rng(5)
@@ -25,10 +27,10 @@ RNG = np.random.default_rng(5)
 
 def _build(tmp_path):
     network = mlp([1024, 100, 10], name="digits", seed=2)
-    spec = QuantizationSpec(8, ALPHA_2,
+    spec = QuantizationSpec(8, Multiplier(ALPHA_2),
                             constrainer=WeightConstrainer(8, ALPHA_2))
     quantized = QuantizedNetwork.from_float(network, spec)
-    path = quantized.export(str(tmp_path / "digits"))
+    path = save_artifact(quantized, str(tmp_path / "digits"))
     return quantized, CompiledModel.load(path)
 
 
@@ -94,10 +96,10 @@ def test_microbatch_vs_unbatched_latency(benchmark, tmp_path):
 def test_compiled_load_vs_from_float(benchmark, tmp_path):
     """Artifact load skips training-side table/spec reconstruction."""
     network = mlp([1024, 100, 10], name="digits", seed=2)
-    spec = QuantizationSpec(8, ALPHA_2,
+    spec = QuantizationSpec(8, Multiplier(ALPHA_2),
                             constrainer=WeightConstrainer(8, ALPHA_2))
     quantized = QuantizedNetwork.from_float(network, spec)
-    path = quantized.export(str(tmp_path / "digits"))
+    path = save_artifact(quantized, str(tmp_path / "digits"))
 
     start = time.perf_counter()
     for _ in range(5):

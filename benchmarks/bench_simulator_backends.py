@@ -16,6 +16,7 @@ from conftest import emit, emit_json
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import Multiplier
 from repro.hardware.report import format_table
 from repro.hardware.simulator import CycleAccurateEngine
 
@@ -53,8 +54,9 @@ def test_simulator_backends(benchmark):
     results = {}
     for name, (bits, aset, fan_in, neurons) in WORKLOADS.items():
         weights, inputs = _layer(bits, aset, fan_in, neurons)
-        reference = CycleAccurateEngine(bits, aset, backend="reference")
-        fast = CycleAccurateEngine(bits, aset, backend="fast")
+        reference = CycleAccurateEngine(bits, Multiplier(aset),
+                                        backend="reference")
+        fast = CycleAccurateEngine(bits, Multiplier(aset), backend="fast")
         ref_trace = reference.run_layer(weights, inputs)
         fast_trace = fast.run_layer(weights, inputs)
         assert ref_trace == fast_trace, \
@@ -72,7 +74,8 @@ def test_simulator_backends(benchmark):
             "speedup": round(ref_ms / fast_ms, 1),
         }
     benchmark.pedantic(
-        lambda: CycleAccurateEngine(8, ALPHA_2, backend="fast").run_layer(
+        lambda: CycleAccurateEngine(
+            8, Multiplier(ALPHA_2), backend="fast").run_layer(
             *_layer(8, ALPHA_2, 400, 120)),
         rounds=3, iterations=1)
     emit_json("simulator", results)

@@ -11,6 +11,7 @@ import argparse
 import os
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.rtl import (
     generate_asm_mac,
     generate_conventional_mac,
@@ -27,9 +28,10 @@ def main() -> None:
 
     written = []
     for bits in (8, 12):
-        sources = {module_name(bits, None): generate_conventional_mac(bits)}
+        sources = {module_name(bits, CONVENTIONAL):
+                   generate_conventional_mac(bits)}
         for aset in (ALPHA_4, ALPHA_2, ALPHA_1):
-            sources[module_name(bits, aset)] = generate_asm_mac(
+            sources[module_name(bits, Multiplier(aset))] = generate_asm_mac(
                 bits, aset, fallback="nearest")
         for aset in (ALPHA_4, ALPHA_2):
             name = f"precompute_bank_{bits}b_{len(aset)}a"

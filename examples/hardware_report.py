@@ -8,6 +8,7 @@ Run:  python examples/hardware_report.py
 """
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
+from repro.asm.multiplier import Multiplier
 from repro.experiments import EXPERIMENTS, format_energy_table
 from repro.experiments.power_area import (
     format_hardware_table,
@@ -22,7 +23,7 @@ def main() -> None:
     print("=== stage-level design reports (iso-speed) ===\n")
     for bits in (8, 12):
         for aset in (None, ALPHA_4, ALPHA_2, ALPHA_1):
-            design = make_neuron(bits, aset)
+            design = make_neuron(bits, Multiplier(aset))
             print(design.report())
             print()
 

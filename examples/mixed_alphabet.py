@@ -11,6 +11,7 @@ Run:  python examples/mixed_alphabet.py [--app svhn|tich|mnist_mlp]
 import argparse
 
 from repro.asm.alphabet import ALPHA_1
+from repro.asm.multiplier import Multiplier
 from repro.datasets import build_model
 from repro.experiments import EXPERIMENTS, FIGURE11_DEPLOYMENTS
 from repro.hardware.engine import ProcessingEngine
@@ -25,7 +26,7 @@ def main() -> None:
     args = parser.parse_args()
 
     topology = build_model(args.app).topology()
-    engine = ProcessingEngine(8, ALPHA_1)
+    engine = ProcessingEngine(8, Multiplier(ALPHA_1))
     report = engine.run(topology)
     tail = 2 if args.app in ("svhn", "tich") else 1
     share = report.layer_cycle_fraction(tail)

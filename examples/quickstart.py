@@ -20,6 +20,7 @@ from repro.asm import (
     WeightConstrainer,
     format_decomposition,
 )
+from repro.asm.multiplier import Multiplier
 from repro.fixedpoint import LAYOUT_8BIT
 from repro.hardware import make_neuron
 
@@ -62,7 +63,7 @@ def main() -> None:
     conventional = make_neuron(8).cost()
     for label, aset in (("conventional", None), ("ASM {1,3}", ALPHA_2),
                         ("MAN {1}", ALPHA_1)):
-        cost = make_neuron(8, aset).cost()
+        cost = make_neuron(8, Multiplier(aset)).cost()
         ratio = cost.normalized_to(conventional)
         print(f"  {label:13s}: area {cost.area_um2:7.1f} um2 "
               f"({ratio['area']:.2f}x)   power {cost.power_uw:7.1f} uW "

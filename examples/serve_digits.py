@@ -18,11 +18,13 @@ import urllib.request
 
 from repro.asm.alphabet import ALPHA_2
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import Multiplier
 from repro.datasets.registry import build_model, load_dataset
 from repro.nn.optim import SGD
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.nn.trainer import Trainer
 from repro.serving import BatchSettings, ModelRegistry, create_server
+from repro.serving.artifact import save_artifact
 from repro.training.constrained import ConstraintProjector, constrained_trainer
 
 
@@ -42,11 +44,11 @@ def main() -> None:
         max_epochs=4)
 
     print("\n=== 3. quantise + export the serving artifact ===")
-    spec = QuantizationSpec(8, ALPHA_2,
+    spec = QuantizationSpec(8, Multiplier(ALPHA_2),
                             constrainer=WeightConstrainer(8, ALPHA_2))
     quantized = QuantizedNetwork.from_float(model, spec)
     workdir = tempfile.mkdtemp(prefix="repro-serve-")
-    path = quantized.export(f"{workdir}/digits")
+    path = save_artifact(quantized, f"{workdir}/digits")
     print(f"  exported {quantized.spec.label} -> {path}")
 
     print("\n=== 4. registry + batched HTTP server ===")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.asm.alphabet import AlphabetSet
-from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import Multiplier
 from repro.nn.network import Sequential
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.training.constrained import weight_param_name
@@ -60,13 +60,11 @@ def layer_sensitivity(network: Sequential, x_test: np.ndarray,
         network, baseline_spec, backend=backend).accuracy(
             x_test, labels, batch_size=batch)
 
+    multiplier = Multiplier(alphabet_set)
     if constrain:
-        approx_spec = QuantizationSpec(
-            bits, alphabet_set,
-            constrainer=WeightConstrainer(bits, alphabet_set))
+        approx_spec = QuantizationSpec.constrained(bits, multiplier)
     else:
-        approx_spec = QuantizationSpec(bits, alphabet_set,
-                                       fallback="nearest")
+        approx_spec = QuantizationSpec(bits, multiplier, fallback="nearest")
 
     results = []
     for position, (index, layer) in enumerate(param_layers):

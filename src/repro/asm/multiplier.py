@@ -16,12 +16,15 @@ Two datapaths are modelled:
   - ``"truncate"`` — select the largest supported quartet not above the
     value (simplest possible control logic).
 
+The rest of the system names the datapath with one value, :class:`Multiplier`
+(:data:`CONVENTIONAL`, or the ASM over a set; the MAN is ``{1}``), which
+owns the per-kind facts: remap, constrainer, bank multiples, manifest token.
+
 Because the ASM's output depends on the weight only through the per-quartet
 remapping, every signed weight has an *effective weight* such that
-``asm(W, I) == effective(W) * I`` exactly.  :func:`effective_weights` is
-the one implementation of that remap for arrays: the quantised forward
-pass (:mod:`repro.nn.quantized`), the toggle simulator
-(:mod:`repro.hardware.simulator`) and :meth:`AlphabetSetMultiplier.
+``asm(W, I) == effective(W) * I`` exactly.  :meth:`Multiplier.
+effective_weights` is the one implementation of that remap for arrays: the
+quantised forward pass, the toggle simulator and :meth:`AlphabetSetMultiplier.
 multiply_array` all fold weights through it, and it reads the memoized
 :func:`effective_weight_table`.  The explicit select/shift/add path in
 :meth:`AlphabetSetMultiplier.multiply` and the scalar
@@ -31,19 +34,20 @@ reference the table is cross-checked against in the tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from repro.asm.alphabet import AlphabetSet
-from repro.asm.constraints import nearest_supported
+from repro.asm.constraints import WeightConstrainer, nearest_supported
 from repro.asm.decompose import UnsupportedQuartetError, decompose_quartet
 from repro.fixedpoint.binary import signed_range
 from repro.fixedpoint.quartet import QuartetLayout
 
-__all__ = ["ConventionalMultiplier", "AlphabetSetMultiplier",
-           "FALLBACK_POLICIES", "UNSUPPORTED_WEIGHT",
-           "effective_weight_table", "effective_weights"]
+__all__ = ["Multiplier", "CONVENTIONAL", "ConventionalMultiplier",
+           "AlphabetSetMultiplier", "FALLBACK_POLICIES", "UNSUPPORTED_WEIGHT",
+           "effective_weight_table"]
 
 FALLBACK_POLICIES = ("error", "nearest", "truncate")
 
@@ -108,7 +112,7 @@ def effective_weight_table(bits: int, alphabet_set: AlphabetSet,
     Index ``w + 2**(bits-1)`` → effective weight; under the ``"error"``
     policy, unsupported weights hold the sentinel
     :data:`UNSUPPORTED_WEIGHT`.  Returned read-only; copy before
-    mutating.  To remap weights, call :func:`effective_weights`.
+    mutating.  To remap weights, call :meth:`Multiplier.effective_weights`.
     """
     if fallback not in FALLBACK_POLICIES:
         raise ValueError(
@@ -117,34 +121,72 @@ def effective_weight_table(bits: int, alphabet_set: AlphabetSet,
     return _effective_weight_table(bits, alphabet_set, fallback)
 
 
-def effective_weights(bits: int, alphabet_set: AlphabetSet | None,
-                      weights: np.ndarray,
-                      fallback: str = "error") -> np.ndarray:
-    """Remap signed *bits*-bit integer weights to the values the ASM
-    datapath realises (one table lookup).
+@dataclass(frozen=True)
+class Multiplier:
+    """A neuron's multiplier: the ASM over *alphabet_set* (the MAN for
+    ``{1}``), or the exact conventional one for ``None``."""
 
-    ``alphabet_set=None`` is the conventional multiplier: the weights
-    pass through as int64, unchecked.  Otherwise a weight outside the
-    signed range raises :class:`OverflowError`, and under the ``"error"``
-    policy a weight with an unsupported quartet raises
-    :class:`~repro.asm.decompose.UnsupportedQuartetError` (a
-    :class:`ValueError`).
-    """
-    weights = np.asarray(weights, dtype=np.int64)
-    if alphabet_set is None:
-        return weights
-    table = effective_weight_table(bits, alphabet_set, fallback)
-    index = weights + (1 << (bits - 1))
-    if index.size and (index.min() < 0 or index.max() >= len(table)):
-        raise OverflowError(f"weights outside signed {bits}-bit range")
-    effective = table[index]
-    unsupported = effective == UNSUPPORTED_WEIGHT
-    if unsupported.any():
-        # the scalar datapath raises, naming the first bad weight's first
-        # unsupported quartet (the table is built from the same maps)
-        AlphabetSetMultiplier(bits, alphabet_set, fallback).effective_weight(
-            int(weights[unsupported].flat[0]))
-    return effective
+    alphabet_set: AlphabetSet | None = None
+
+    def label(self, conventional: str = "conventional",
+              asm: str = "{set}") -> str:
+        """*conventional*, or *asm* formatted with the ``set`` and its
+        ``count``; ``str()`` gives ``conventional`` or ``{1,3}``."""
+        if self.alphabet_set is None:
+            return conventional
+        return asm.format(set=self.alphabet_set,
+                          count=len(self.alphabet_set))
+
+    __str__ = label
+
+    @property
+    def token(self) -> list[int] | None:
+        """The manifest's ``alphabets`` value (:meth:`from_token` inverts)."""
+        return None if self.alphabet_set is None else list(self.alphabet_set)
+
+    @classmethod
+    def from_token(cls, token: list[int] | None) -> "Multiplier":
+        return cls(AlphabetSet(tuple(token)) if token else None)
+
+    @property
+    def bank_multiples(self) -> tuple[int, ...]:
+        """Multiples the shared pre-computer bank recomputes each cycle."""
+        return tuple(a for a in self.alphabet_set or () if a > 1)
+
+    def constrainer(self, bits: int,
+                    mode: str = "greedy") -> WeightConstrainer | None:
+        """Algorithm 1 onto the supported grid (``None``: conventional)."""
+        if self.alphabet_set is None:
+            return None
+        return WeightConstrainer(bits, self.alphabet_set, mode=mode)
+
+    def effective_weights(self, bits: int, weights: np.ndarray,
+                          fallback: str = "error") -> np.ndarray:
+        """Signed *bits*-bit integer weights → the values the datapath
+        realises (one table lookup; conventional weights pass unchecked).
+        An out-of-range weight raises :class:`OverflowError`; under the
+        ``"error"`` policy, an unsupported quartet raises
+        :class:`~repro.asm.decompose.UnsupportedQuartetError`."""
+        weights = np.asarray(weights, dtype=np.int64)
+        if self.alphabet_set is None:
+            return weights
+        table = effective_weight_table(bits, self.alphabet_set, fallback)
+        index = weights + (1 << (bits - 1))
+        if index.size and (index.min() < 0 or index.max() >= len(table)):
+            raise OverflowError(f"weights outside signed {bits}-bit range")
+        effective = table[index]
+        unsupported = effective == UNSUPPORTED_WEIGHT
+        if unsupported.any():
+            # the scalar datapath names the first bad weight's first
+            # unsupported quartet (the table is built from the same maps)
+            AlphabetSetMultiplier(bits, self.alphabet_set,
+                                  fallback).effective_weight(
+                int(weights[unsupported].flat[0]))
+        return effective
+
+
+#: The conventional exact multiplier of the paper's baseline neuron.
+CONVENTIONAL = Multiplier()
 
 
 class ConventionalMultiplier:
@@ -277,10 +319,10 @@ class AlphabetSetMultiplier:
 
     def multiply_array(self, weights: np.ndarray,
                        operands: np.ndarray) -> np.ndarray:
-        """Vectorised ASM product via :func:`effective_weights` (same
-        range and unsupported-quartet errors)."""
-        return effective_weights(self.bits, self.alphabet_set, weights,
-                                 self.fallback) * np.asarray(
+        """Vectorised ASM product via :meth:`Multiplier.effective_weights`
+        (same range and unsupported-quartet errors)."""
+        return Multiplier(self.alphabet_set).effective_weights(
+            self.bits, weights, self.fallback) * np.asarray(
             operands, dtype=np.int64)
 
     # ------------------------------------------------------------------

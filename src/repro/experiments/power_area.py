@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4, AlphabetSet
+from repro.asm.multiplier import Multiplier
 from repro.hardware.neuron import NeuronConfig, make_neuron
 from repro.hardware.report import format_table
 from repro.hardware.technology import IBM45, TechnologyModel
@@ -61,7 +62,8 @@ def run_hardware_grid(metric: str, bits_list: tuple[int, ...] = (8, 12),
         rows.append(HardwareRow(bits=bits, num_alphabets=None,
                                 metric=metric, normalized=1.0, paper=1.0))
         for count, aset in sets:
-            cost = make_neuron(bits, aset, tech=tech, config=config).cost()
+            cost = make_neuron(bits, Multiplier(aset), tech=tech,
+                               config=config).cost()
             rows.append(HardwareRow(
                 bits=bits, num_alphabets=count, metric=metric,
                 normalized=cost.normalized_to(conv)[metric],

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from repro.asm.alphabet import AlphabetSet
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.hardware.neuron import NeuronConfig, clock_for_bits, make_neuron
 from repro.hardware.technology import IBM45, TechnologyModel
 
@@ -134,13 +134,12 @@ class ProcessingEngine:
     ----------
     bits:
         Neuron word width; picks the paper clock unless ``clock_ghz`` given.
-    alphabet_set:
-        ``None`` for the conventional-multiplier engine; an
-        :class:`AlphabetSet` for an ASM/MAN engine.  Per-layer overrides are
-        given to :meth:`run` for mixed plans.
+    multiplier:
+        The engine's multiplier (default conventional).  Per-layer
+        overrides are given to :meth:`run` for mixed plans.
     """
 
-    def __init__(self, bits: int, alphabet_set: AlphabetSet | None = None,
+    def __init__(self, bits: int, multiplier: Multiplier = CONVENTIONAL,
                  tech: TechnologyModel = IBM45,
                  clock_ghz: float | None = None,
                  config: NeuronConfig | None = None,
@@ -150,69 +149,57 @@ class ProcessingEngine:
         self.config = config or NeuronConfig()
         self.clock_ghz = clock_ghz if clock_ghz is not None \
             else clock_for_bits(bits)
-        self.alphabet_set = alphabet_set
+        self.multiplier = multiplier
         self.units = self.config.share_units
         #: simulation-kernel backend handed to :meth:`simulator` engines
         #: (bit-identical traces across backends; a speed knob only)
         self.backend = backend
-        self._design_cache: dict[object, object] = {}
-        self._simulator_cache: dict[object, object] = {}
+        self._design_cache: dict[Multiplier, object] = {}
+        self._simulator_cache: dict[Multiplier, object] = {}
 
     # ------------------------------------------------------------------
-    def _design(self, alphabet_set: AlphabetSet | None):
-        key = alphabet_set.alphabets if alphabet_set is not None else None
-        if key not in self._design_cache:
-            self._design_cache[key] = make_neuron(
-                self.bits, alphabet_set, tech=self.tech,
+    def _design(self, multiplier: Multiplier):
+        if multiplier not in self._design_cache:
+            self._design_cache[multiplier] = make_neuron(
+                self.bits, multiplier, tech=self.tech,
                 clock_ghz=self.clock_ghz, config=self.config)
-        return self._design_cache[key]
-
-    @staticmethod
-    def _label(alphabet_set: AlphabetSet | None) -> str:
-        return "conventional" if alphabet_set is None else str(alphabet_set)
+        return self._design_cache[multiplier]
 
     def layer_cycles(self, layer: LayerWork) -> int:
         """Cycles to evaluate *layer*: groups of ``units`` neurons, one MAC
         per unit per cycle."""
         return ceil(layer.neurons / self.units) * layer.macs_per_neuron
 
-    #: sentinel: "use the engine's own alphabet set" (``None`` is a real
-    #: value — the conventional-multiplier design)
-    _OWN_SET = object()
-
-    def simulator(self, alphabet_set: AlphabetSet | None = _OWN_SET):
+    def simulator(self, multiplier: Multiplier | None = None):
         """A cycle-accurate twin of this engine (memoized per design).
 
         Shares the engine's word width, lane count, technology model and
-        kernel ``backend``; *alphabet_set* defaults to the engine's own
-        (pass ``None`` explicitly for the conventional design).  The
-        toggle-level simulator exposes the data dependence the analytic
+        kernel ``backend``; *multiplier* defaults to the engine's own.
+        The toggle-level simulator exposes the data dependence the analytic
         :meth:`run` averages away — the pipeline's energy stage uses it
         when ``sim_samples`` is configured.
         """
         from repro.hardware.simulator import CycleAccurateEngine
 
-        if alphabet_set is ProcessingEngine._OWN_SET:
-            alphabet_set = self.alphabet_set
-        key = alphabet_set.alphabets if alphabet_set is not None else None
-        if key not in self._simulator_cache:
-            self._simulator_cache[key] = CycleAccurateEngine(
-                self.bits, alphabet_set, units=self.units, tech=self.tech,
+        if multiplier is None:
+            multiplier = self.multiplier
+        if multiplier not in self._simulator_cache:
+            self._simulator_cache[multiplier] = CycleAccurateEngine(
+                self.bits, multiplier, units=self.units, tech=self.tech,
                 backend=self.backend)
-        return self._simulator_cache[key]
+        return self._simulator_cache[multiplier]
 
     # ------------------------------------------------------------------
     def run(self, topology: NetworkTopology,
-            layer_alphabets: list[AlphabetSet | None] | None = None,
+            layer_alphabets: list[Multiplier] | None = None,
             ) -> EngineReport:
         """Cost one inference pass of *topology*.
 
-        ``layer_alphabets`` optionally assigns an alphabet set per layer
-        (``None`` entries = conventional); by default every layer uses the
-        engine's own ``alphabet_set``.
+        ``layer_alphabets`` optionally assigns a multiplier per layer; by
+        default every layer uses the engine's own ``multiplier``.
         """
         if layer_alphabets is None:
-            layer_alphabets = [self.alphabet_set] * len(topology.layers)
+            layer_alphabets = [self.multiplier] * len(topology.layers)
         if len(layer_alphabets) != len(topology.layers):
             raise ValueError(
                 f"{len(layer_alphabets)} alphabet entries for "
@@ -222,8 +209,8 @@ class ProcessingEngine:
         total_cycles = 0
         total_energy_fj = 0.0
         cluster_area_um2 = 0.0
-        for layer, aset in zip(topology.layers, layer_alphabets):
-            design = self._design(aset)
+        for layer, multiplier in zip(topology.layers, layer_alphabets):
+            design = self._design(multiplier)
             cost = design.cost()
             # per-unit cost already amortises the shared bank/bus over the
             # cluster, so the cluster occupies units * per-unit area
@@ -239,15 +226,15 @@ class ProcessingEngine:
                 cycles=cycles,
                 macs=layer.total_macs,
                 energy_nj=energy_fj * 1e-6,
-                alphabet_label=self._label(aset),
+                alphabet_label=str(multiplier),
             ))
             total_cycles += cycles
             total_energy_fj += energy_fj
-        if len({self._label(a) for a in layer_alphabets}) == 1:
-            design_label = self._label(layer_alphabets[0])
+        labels = [layer.alphabet_label for layer in layers]
+        if len(set(labels)) == 1:
+            design_label = labels[0]
         else:
-            design_label = "mixed(" + ",".join(
-                self._label(a) for a in layer_alphabets) + ")"
+            design_label = "mixed(" + ",".join(labels) + ")"
         return EngineReport(
             topology_name=topology.name,
             design_label=design_label,

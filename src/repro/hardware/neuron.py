@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.asm.alphabet import ALPHA_1, AlphabetSet
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.fixedpoint.binary import clog2
 from repro.fixedpoint.quartet import QuartetLayout
 from repro.hardware.components import (
@@ -330,18 +331,18 @@ class ASMNeuron(NeuronDesign):
         self._shared_backend()
 
 
-def make_neuron(bits: int, alphabet_set: AlphabetSet | None = None,
+def make_neuron(bits: int, multiplier: Multiplier = CONVENTIONAL,
                 tech: TechnologyModel = IBM45,
                 clock_ghz: float | None = None,
                 config: NeuronConfig | None = None) -> NeuronDesign:
-    """Factory: ``alphabet_set=None`` builds the conventional baseline.
+    """Factory: the default builds the conventional baseline.
 
     >>> make_neuron(8).name
     'conventional-8b'
     >>> from repro.asm.alphabet import ALPHA_1
-    >>> make_neuron(8, ALPHA_1).name
+    >>> make_neuron(8, Multiplier(ALPHA_1)).name
     'man-8b-1a'
     """
-    if alphabet_set is None:
+    if multiplier == CONVENTIONAL:
         return ConventionalNeuron(tech, bits, clock_ghz, config)
-    return ASMNeuron(tech, bits, alphabet_set, clock_ghz, config)
+    return ASMNeuron(tech, bits, multiplier.alphabet_set, clock_ghz, config)

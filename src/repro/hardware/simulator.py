@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.asm.alphabet import AlphabetSet
-from repro.asm.multiplier import effective_weights
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.kernels import get_backend
 from repro.kernels.registry import KernelBackend
 from repro.hardware.technology import IBM45, TechnologyModel
@@ -79,10 +78,10 @@ class CycleAccurateEngine:
     ----------
     bits:
         Word width of inputs and weights.
-    alphabet_set:
-        ``None`` simulates the conventional-multiplier engine (products are
-        exact); otherwise weights must be on the ASM's supported grid (use
-        a :class:`~repro.asm.constraints.WeightConstrainer` first) — the
+    multiplier:
+        The conventional default simulates exact products; for an ASM,
+        weights must be on its supported grid (use a
+        :class:`~repro.asm.constraints.WeightConstrainer` first) — the
         simulator remaps through the effective-weight table and will raise
         on unsupported weights, exactly like the hardware.
     units:
@@ -97,7 +96,7 @@ class CycleAccurateEngine:
     #: energy per bit toggle per net class, in fJ (from the technology
     #: model: register toggles cost a DFF switch, bus toggles a wire run,
     #: combinational products an FA-dominated cone)
-    def __init__(self, bits: int, alphabet_set: AlphabetSet | None = None,
+    def __init__(self, bits: int, multiplier: Multiplier = CONVENTIONAL,
                  units: int = 4, tech: TechnologyModel = IBM45,
                  backend: str | KernelBackend = "auto") -> None:
         if bits < 2:
@@ -107,13 +106,10 @@ class CycleAccurateEngine:
         self.bits = bits
         self.units = units
         self.tech = tech
-        self.alphabet_set = alphabet_set
+        self.multiplier = multiplier
         self._kernel = get_backend(backend)
-        if alphabet_set is None or alphabet_set.is_multiplierless:
-            #: alphabet multiples the shared bank recomputes every cycle
-            self.bank_multiples: tuple[int, ...] = ()
-        else:
-            self.bank_multiples = tuple(a for a in alphabet_set if a > 1)
+        #: alphabet multiples the shared bank recomputes every cycle
+        self.bank_multiples = multiplier.bank_multiples
         self.energy_per_toggle_fj = {
             "input_bus": tech.energy("WIRE_TRACK") * 30.0,  # ~30um of wire
             "bank_outputs": tech.energy("FA") * 1.5,
@@ -129,15 +125,15 @@ class CycleAccurateEngine:
 
     def remap_weights(self, weights: np.ndarray) -> np.ndarray:
         """Validate *weights* and remap them to effective values once
-        (:func:`~repro.asm.multiplier.effective_weights` under the
-        ``"error"`` policy).
+        (:meth:`~repro.asm.multiplier.Multiplier.effective_weights` under
+        the ``"error"`` policy).
 
         ``run_layer`` does this on every call; callers replaying many
         activation vectors against the same layer (the pipeline's
         ``sim_samples`` energy traces) remap once and pass
         ``remapped=True`` instead.
         """
-        return effective_weights(self.bits, self.alphabet_set, weights)
+        return self.multiplier.effective_weights(self.bits, weights)
 
     # ------------------------------------------------------------------
     def run_layer(self, weights: np.ndarray, inputs: np.ndarray,

@@ -31,9 +31,8 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.asm.alphabet import AlphabetSet
 from repro.asm.constraints import WeightConstrainer
-from repro.asm.multiplier import FALLBACK_POLICIES, effective_weights
+from repro.asm.multiplier import CONVENTIONAL, FALLBACK_POLICIES, Multiplier
 from repro.fixedpoint.qformat import QFormat, qformat_for_range
 from repro.kernels import DEFAULT_EVAL_BATCH, batched_accuracy, get_backend
 from repro.kernels.registry import KernelBackend
@@ -51,10 +50,10 @@ class QuantizationSpec:
     ----------
     bits:
         Word width for weights and activations (8 or 12 in the paper).
-    alphabet_set:
-        ``None`` → conventional multiplier.  Otherwise the ASM's alphabet
-        set; combine with ``constrainer`` for constrained-retrained weights
-        or ``fallback`` for post-hoc deployment.
+    multiplier:
+        The engine's multiplier (default conventional).  For an ASM,
+        combine with ``constrainer`` for constrained-retrained weights or
+        ``fallback`` for post-hoc deployment.
     constrainer:
         Optional :class:`WeightConstrainer` applied to the integer weights
         (Algorithm 1) before they reach the multiplier.
@@ -63,7 +62,7 @@ class QuantizationSpec:
         :mod:`repro.asm.multiplier`).
     """
 
-    def __init__(self, bits: int, alphabet_set: AlphabetSet | None = None,
+    def __init__(self, bits: int, multiplier: Multiplier = CONVENTIONAL,
                  constrainer: WeightConstrainer | None = None,
                  fallback: str = "error") -> None:
         if fallback not in FALLBACK_POLICIES:
@@ -71,7 +70,7 @@ class QuantizationSpec:
                 f"unknown fallback {fallback!r}; choose from "
                 f"{FALLBACK_POLICIES}")
         self.bits = bits
-        self.alphabet_set = alphabet_set
+        self.multiplier = multiplier
         self.constrainer = constrainer
         self.fallback = fallback
         if constrainer is not None and constrainer.bits != bits:
@@ -80,15 +79,14 @@ class QuantizationSpec:
             )
 
     @classmethod
-    def constrained(cls, bits: int, alphabet_set: AlphabetSet,
+    def constrained(cls, bits: int, multiplier: Multiplier,
                     mode: str = "greedy",
                     fallback: str = "error") -> "QuantizationSpec":
-        """The constrained-retraining deployment spec: *alphabet_set* with
-        a matching Algorithm-1 :class:`WeightConstrainer` (the combination
-        every driver builds by hand otherwise)."""
-        return cls(bits, alphabet_set,
-                   constrainer=WeightConstrainer(bits, alphabet_set,
-                                                 mode=mode),
+        """The constrained-retraining deployment spec: *multiplier* with
+        its matching Algorithm-1 :class:`WeightConstrainer` (none for
+        conventional, which makes this the plain spec)."""
+        return cls(bits, multiplier,
+                   constrainer=multiplier.constrainer(bits, mode),
                    fallback=fallback)
 
     # ------------------------------------------------------------------
@@ -98,25 +96,23 @@ class QuantizationSpec:
 
         Pipeline: power-of-two scale → round to grid → optional Algorithm-1
         constraining → ASM effective-weight remap
-        (:func:`repro.asm.multiplier.effective_weights`, one lookup in the
-        process-wide memoized table).
+        (:meth:`repro.asm.multiplier.Multiplier.effective_weights`, one
+        lookup in the process-wide memoized table).
         """
         max_abs = float(np.max(np.abs(weights))) if weights.size else 1.0
         fmt = qformat_for_range(self.bits, max(max_abs, 1e-12))
         ints = fmt.quantize_array(weights)
         if self.constrainer is not None:
             ints = self.constrainer.constrain_array(ints)
-        return effective_weights(self.bits, self.alphabet_set, ints,
-                                 self.fallback), fmt
+        return self.multiplier.effective_weights(self.bits, ints,
+                                                 self.fallback), fmt
 
     @property
     def label(self) -> str:
-        base = f"{self.bits}b"
-        if self.alphabet_set is None:
-            return f"{base}-conventional"
         suffix = "-constrained" if self.constrainer is not None else \
             f"-{self.fallback}"
-        return f"{base}-asm{len(self.alphabet_set)}{suffix}"
+        return f"{self.bits}b-" + self.multiplier.label(
+            asm="asm{count}" + suffix)
 
 
 class _QuantLayer:
@@ -140,12 +136,11 @@ class _QuantLayer:
 
     name: str | None = None
 
-    #: Alphabet set the layer's weights were folded for (``None`` =
-    #: conventional multiplier).  Per-layer because mixed deployments
-    #: (§VI.E) quantise each layer under its own spec; the serving stack
-    #: costs energy from it.  Set by :meth:`QuantizedNetwork.from_float`
-    #: and by the artifact loader.
-    alphabets: tuple[int, ...] | None = None
+    #: Multiplier the layer's weights were folded for.  Per-layer because
+    #: mixed deployments (§VI.E) quantise each layer under its own spec;
+    #: the serving stack costs energy from it.  Set by
+    #: :meth:`QuantizedNetwork.from_float` and by the artifact loader.
+    multiplier: Multiplier = CONVENTIONAL
 
     def forward(self, x: np.ndarray, x_fmt: QFormat,
                 backend: KernelBackend | None = None,
@@ -370,10 +365,7 @@ class QuantizedNetwork:
                 )
             layer_spec = next_spec()
             quant = quant_cls.from_layer(layer, layer_spec, act_fmt, lut)
-            # the fold tag: the alphabet set these weights were folded for
-            quant.alphabets = (tuple(layer_spec.alphabet_set)
-                               if layer_spec.alphabet_set is not None
-                               else None)
+            quant.multiplier = layer_spec.multiplier     # the fold tag
             layers.append(quant)
         dense_like = [q for q in layers
                       if isinstance(q, (_QuantDense,))]
@@ -451,30 +443,12 @@ class QuantizedNetwork:
 
         Uniform networks report ``spec.label``; mixed (§VI.E) networks —
         where per-layer specs diverge from the base spec — report each
-        layer's alphabet set, so reports and artifact manifests never
+        layer's multiplier, so reports and artifact manifests never
         describe a mixed ASM deployment as conventional.
         """
         param_layers = [q for q in self.layers if q.kind != "flatten"]
-        if len({q.alphabets for q in param_layers}) <= 1:
+        if len({q.multiplier for q in param_layers}) <= 1:
             return self.spec.label
-
-        def label(alphabets: tuple[int, ...] | None) -> str:
-            if alphabets is None:
-                return "conv"
-            return "{" + ",".join(str(a) for a in alphabets) + "}"
-
         return (f"{self.spec.bits}b-mixed("
-                + "|".join(label(q.alphabets) for q in param_layers)
+                + "|".join(q.multiplier.label("conv") for q in param_layers)
                 + ")-constrained")
-
-    # ------------------------------------------------------------------
-    def export(self, path: str, name: str | None = None) -> str:
-        """Persist this network as a serving artifact bundle at *path*.
-
-        Convenience hook into :func:`repro.serving.artifact.save_artifact`;
-        :meth:`repro.serving.compiled.CompiledModel.load` reloads the
-        bundle to a model whose forward pass is bit-identical to this one.
-        """
-        from repro.serving.artifact import save_artifact
-
-        return save_artifact(self, path, name=name)

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.asm.alphabet import AlphabetSet, standard_set
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.datasets.base import Dataset
 from repro.datasets.registry import BENCHMARKS, build_model, load_dataset, \
     training_arrays
@@ -273,15 +274,15 @@ class PipelineContext:
         return training_arrays(self.dataset, self.bench)
 
     # ------------------------------------------------------------------
-    def design_set(self, design: str) -> AlphabetSet | None:
-        """The uniform alphabet set of *design* (``None`` = conventional).
+    def design_set(self, design: str) -> Multiplier:
+        """The uniform multiplier of *design*.
 
         ``mixed`` has no uniform set (use :meth:`design_plan`); ``ladder``
         resolves to the set chosen during the ``constrain`` stage.
         """
         kind = parse_design(design)
         if kind is None:
-            return None
+            return CONVENTIONAL
         if is_plan_design(kind):
             raise StageError(
                 f"{design!r} has a per-layer plan, not one set")
@@ -289,23 +290,24 @@ class PipelineContext:
             if design not in self.chosen_sets:
                 raise StageError(
                     "ladder design not resolved yet - run 'constrain'")
-            return self.chosen_sets[design]
-        return standard_set(kind)
+            return Multiplier(self.chosen_sets[design])
+        return Multiplier(standard_set(kind))
 
-    def design_plan(self, design: str) -> list[AlphabetSet | None]:
-        """Per-parameterised-layer alphabet plan of *design*."""
+    def design_plan(self, design: str) -> list[Multiplier]:
+        """Per-parameterised-layer multiplier plan of *design*."""
         n_layers = len(self.model.trainable_layers)
         kind = parse_design(design)
         if kind == "mixed":
-            return list(paper_mixed_plan(self.config.app, self.model))
+            return [Multiplier(aset) for aset in
+                    paper_mixed_plan(self.config.app, self.model)]
         if isinstance(kind, tuple):            # custom mixed:C1-C2-... plan
             if len(kind) != n_layers:
                 raise StageError(
                     f"design {design!r} gives {len(kind)} layer counts but "
                     f"{self.config.app!r} has {n_layers} parameterised "
                     f"layers")
-            return [None if count == 0 else standard_set(count)
-                    for count in kind]
+            return [CONVENTIONAL if count == 0 else
+                    Multiplier(standard_set(count)) for count in kind]
         return [self.design_set(design)] * n_layers
 
     def require_design_state(self, design: str) -> list:
@@ -347,9 +349,8 @@ class PipelineContext:
         backend = self.config.backend
         if is_plan_design(parse_design(design)):
             layer_specs = [
-                QuantizationSpec(bits) if aset is None else
-                QuantizationSpec.constrained(bits, aset, mode=mode)
-                for aset in self.design_plan(design)]
+                QuantizationSpec.constrained(bits, multiplier, mode=mode)
+                for multiplier in self.design_plan(design)]
             quantized = QuantizedNetwork.from_float(
                 model, QuantizationSpec(bits), layer_specs=layer_specs,
                 backend=backend)
@@ -490,13 +491,11 @@ def stage_evaluate(ctx: PipelineContext) -> EvaluateResult:
         quantized = ctx.design_quantized(design)
         if is_plan_design(kind):
             label = "mixed(" + ",".join(
-                "exact" if a is None else str(a)
-                for a in ctx.design_plan(design)) + ")"
+                m.label("exact") for m in ctx.design_plan(design)) + ")"
         else:
-            aset = ctx.design_set(design)
-            label = f"{len(aset)} {aset}"
+            label = ctx.design_set(design).label(asm="{count} {set}")
             if kind == "ladder":
-                label = f"ladder {len(aset)} {aset}"
+                label = f"ladder {label}"
         accuracy = quantized.accuracy(
             x_test, y_test, batch_size=ctx.config.eval_batch_size)
         rows.append(EvaluationRow(
@@ -556,9 +555,8 @@ def stage_energy(ctx: PipelineContext) -> EnergyResult:
     analytic model averages away.
     """
     topology = ctx.model.topology()
-    n_layers = len(ctx.model.trainable_layers)
     engine = ProcessingEngine(ctx.bits, backend=ctx.config.backend)
-    conventional = engine.run(topology, layer_alphabets=[None] * n_layers)
+    conventional = engine.run(topology)
     rows: list[EnergyDesignRow] = []
     for design in ctx.config.designs:
         if design == "conventional":
@@ -594,9 +592,7 @@ def _simulate_design_energy(ctx: PipelineContext, engine: ProcessingEngine,
     macs = 0
     with obs.span("energy.simulate", design=design, samples=n_samples):
         for layer, codes in quantized.dense_layer_inputs(batch):
-            aset = AlphabetSet(layer.alphabets) \
-                if layer.alphabets is not None else None
-            simulator = engine.simulator(aset)
+            simulator = engine.simulator(layer.multiplier)
             effective = simulator.remap_weights(layer.w_int)
             for sample in codes:
                 trace = simulator.run_layer(effective, sample,
@@ -616,12 +612,14 @@ def _simulate_design_energy(ctx: PipelineContext, engine: ProcessingEngine,
 
 def stage_export(ctx: PipelineContext) -> ExportResult:
     """Persist the export design as a serving artifact bundle."""
+    from repro.serving.artifact import save_artifact
+
     design = ctx.config.resolved_export_design()
     quantized = ctx.design_quantized(design)
     # ':' in custom plan tokens is not a portable path character
     path = os.path.join(ctx.config.export_dir,
                         f"{ctx.config.app}-{design.replace(':', '_')}")
-    quantized.export(path)
+    save_artifact(quantized, path)
     artifact_bytes = sum(
         os.path.getsize(os.path.join(path, item))
         for item in os.listdir(path))

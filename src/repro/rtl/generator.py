@@ -22,7 +22,11 @@ from __future__ import annotations
 
 from repro.asm.alphabet import AlphabetSet
 from repro.asm.decompose import decompose_quartet
-from repro.asm.multiplier import AlphabetSetMultiplier
+from repro.asm.multiplier import (
+    CONVENTIONAL,
+    AlphabetSetMultiplier,
+    Multiplier,
+)
 from repro.fixedpoint.binary import clog2
 from repro.fixedpoint.quartet import QuartetLayout
 
@@ -30,20 +34,20 @@ __all__ = ["generate_asm_mac", "generate_conventional_mac",
            "generate_precompute_bank", "module_name"]
 
 
-def module_name(bits: int, alphabet_set: AlphabetSet | None) -> str:
+def module_name(bits: int, multiplier: Multiplier) -> str:
     """Verilog module name for a datapath configuration.
 
     >>> from repro.asm.alphabet import ALPHA_1
-    >>> module_name(8, ALPHA_1)
+    >>> module_name(8, Multiplier(ALPHA_1))
     'man_mac_8b'
-    >>> module_name(8, None)
+    >>> module_name(8, CONVENTIONAL)
     'conv_mac_8b'
     """
-    if alphabet_set is None:
+    if multiplier == CONVENTIONAL:
         return f"conv_mac_{bits}b"
-    if alphabet_set.is_multiplierless:
+    if multiplier.alphabet_set.is_multiplierless:
         return f"man_mac_{bits}b"
-    return f"asm{len(alphabet_set)}_mac_{bits}b"
+    return f"asm{len(multiplier.alphabet_set)}_mac_{bits}b"
 
 
 def _header(name: str, bits: int, acc_bits: int) -> list[str]:
@@ -152,7 +156,7 @@ def generate_asm_mac(bits: int, alphabet_set: AlphabetSet,
     """
     layout = QuartetLayout(bits)
     model = AlphabetSetMultiplier(bits, alphabet_set, fallback=fallback)
-    name = module_name(bits, alphabet_set)
+    name = module_name(bits, Multiplier(alphabet_set))
     acc_bits = 2 * bits + acc_guard_bits
     lane_bits = 2 * bits
     mag_bits = bits - 1
@@ -214,7 +218,7 @@ def generate_asm_mac(bits: int, alphabet_set: AlphabetSet,
 def generate_conventional_mac(bits: int, acc_guard_bits: int = 8) -> str:
     """Baseline MAC: a behavioural ``*`` the synthesis tool maps to an
     array multiplier."""
-    name = module_name(bits, None)
+    name = module_name(bits, CONVENTIONAL)
     acc_bits = 2 * bits + acc_guard_bits
     lines = [f"// generated by repro.rtl - {name} (conventional multiplier)"]
     lines += _header(name, bits, acc_bits)

@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.asm.multiplier import Multiplier
 from repro.fixedpoint.qformat import QFormat
 from repro.nn.activations import SigmoidLUT, get_activation
 from repro.nn.quantized import (
@@ -99,9 +100,8 @@ def _describe_layer(index: int, layer) -> tuple[dict[str, Any],
     entry: dict[str, Any] = {"kind": layer.kind, "name": layer.name}
     if not isinstance(layer, _QuantFlatten):
         # per-layer because mixed deployments (§VI.E) fold each layer for
-        # its own alphabet set; energy estimates need the real per-layer set
-        entry["alphabets"] = (list(layer.alphabets)
-                              if layer.alphabets is not None else None)
+        # its own multiplier; energy estimates need the real per-layer one
+        entry["alphabets"] = layer.multiplier.token
     arrays: dict[str, np.ndarray] = {}
     if isinstance(layer, _QuantDense):
         entry.update(activation=layer.activation.name,
@@ -152,7 +152,7 @@ def save_artifact(network: QuantizedNetwork, path: str,
         "version": ARTIFACT_VERSION,
         "model_name": name or network.name,
         "bits": spec.bits,
-        "alphabets": list(spec.alphabet_set) if spec.alphabet_set else None,
+        "alphabets": spec.multiplier.token,
         "fallback": spec.fallback,
         "constrainer_mode": (spec.constrainer.mode
                              if spec.constrainer is not None else None),
@@ -278,7 +278,11 @@ def build_layers(manifest: dict[str, Any], arrays: dict[str, np.ndarray],
             raise ArtifactError(f"unknown layer kind {kind!r}")
         # absent key (pre-mixed-spec bundles) falls back to the
         # network-level set; an explicit null means conventional
-        alphabets = entry.get("alphabets", manifest["alphabets"])
-        quant.alphabets = tuple(alphabets) if alphabets else None
+        try:
+            quant.multiplier = Multiplier.from_token(
+                entry.get("alphabets", manifest["alphabets"]))
+        except (TypeError, ValueError) as error:
+            raise ArtifactError(
+                f"layer {index}: bad alphabets ({error})") from None
         layers.append(quant)
     return layers, act_fmt

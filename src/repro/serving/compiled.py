@@ -23,7 +23,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.asm.alphabet import AlphabetSet
 from repro.fixedpoint.qformat import QFormat
 from repro.hardware.engine import LayerWork, NetworkTopology, ProcessingEngine
 from repro.kernels import DEFAULT_EVAL_BATCH, batched_accuracy, get_backend
@@ -75,11 +74,6 @@ class CompiledModel:
     @property
     def bits(self) -> int:
         return int(self.manifest["bits"])
-
-    @property
-    def alphabet_set(self) -> AlphabetSet | None:
-        alphabets = self.manifest["alphabets"]
-        return AlphabetSet(tuple(alphabets)) if alphabets else None
 
     @property
     def spec_label(self) -> str:
@@ -140,13 +134,7 @@ class CompiledModel:
     def topology(self) -> NetworkTopology:
         """Compute demand per inference, mirroring
         :meth:`repro.nn.network.Sequential.topology`."""
-        return self._topology_and_alphabets()[0]
-
-    def _topology_and_alphabets(self) -> tuple[
-            NetworkTopology, list[AlphabetSet | None]]:
-        """Topology plus the per-layer alphabet sets aligned with it."""
         works: list[LayerWork] = []
-        layer_sets: list[AlphabetSet | None] = []
         spatial = self.input_spatial
         for index, layer in enumerate(self.layers):
             name = layer.name or f"{layer.kind}{index}"
@@ -175,28 +163,24 @@ class CompiledModel:
                 works.append(LayerWork(
                     name, layer.channels * out_h * out_w, 1))
                 spatial = (out_h, out_w)
-            elif isinstance(layer, _QuantFlatten):
-                continue
-            layer_sets.append(AlphabetSet(layer.alphabets)
-                              if layer.alphabets is not None else None)
         if not works:
             raise ValueError("model has no compute layers")
-        return NetworkTopology(self.name, tuple(works)), layer_sets
+        return NetworkTopology(self.name, tuple(works))
 
     def energy_per_inference_nj(self) -> float | None:
         """Estimated energy (nJ) for one inference on the CSHM engine.
 
         Mixed deployments are costed per layer with each layer's own
-        alphabet set.  ``None`` when the engine cannot cost this model
+        multiplier.  ``None`` when the engine cannot cost this model
         (unsupported word width or a conv model exported without spatial
         metadata).
         """
         if not self._energy_known:
             try:
-                engine = ProcessingEngine(self.bits, self.alphabet_set)
-                topology, layer_sets = self._topology_and_alphabets()
-                self._energy_nj = engine.run(
-                    topology, layer_alphabets=layer_sets).energy_nj
+                multipliers = [layer.multiplier for layer in self.layers
+                               if not isinstance(layer, _QuantFlatten)]
+                self._energy_nj = ProcessingEngine(self.bits).run(
+                    self.topology(), layer_alphabets=multipliers).energy_nj
             except (KeyError, ValueError):
                 self._energy_nj = None
             # set the flag only after the value is in place, so concurrent

@@ -56,6 +56,9 @@ __all__ = ["ServingServer", "create_server", "main"]
 
 #: how long a handler waits for its batch when no ``deadline_s`` is set
 RESULT_TIMEOUT_S = 30.0
+#: how often the serve loop checks for :meth:`ServingServer.shutdown`
+#: (socketserver's default of 0.5 s makes every shutdown wait that long)
+POLL_INTERVAL_S = 0.05
 
 
 class ServingServer(ThreadingHTTPServer):
@@ -78,6 +81,9 @@ class ServingServer(ThreadingHTTPServer):
         self.batcher = MicroBatcher(
             lambda key: registry.get(*key), settings=settings,
             metrics=self.metrics)
+
+    def serve_forever(self, poll_interval: float = POLL_INTERVAL_S) -> None:
+        super().serve_forever(poll_interval)
 
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:

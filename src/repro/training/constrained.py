@@ -9,8 +9,9 @@ Biases are left unconstrained — the engine adds them in the accumulator;
 they never pass through the multiplier.
 
 :class:`ConstraintProjector` also supports a *per-layer* alphabet plan
-(the paper's §VI.E mixed networks): pass one alphabet set (or ``None`` for
-an unconstrained layer) per parameterised layer.
+(the paper's §VI.E mixed networks): pass one
+:class:`~repro.asm.multiplier.Multiplier` per parameterised layer
+(conventional layers stay unconstrained).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro import obs
 from repro.asm.alphabet import AlphabetSet
-from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import Multiplier
 from repro.kernels import get_backend, quantize_constrain
 from repro.kernels.registry import KernelBackend
 from repro.nn.layers import Conv2D, Dense, ScaledAvgPool2D
@@ -53,11 +54,12 @@ class ConstraintProjector:
     bits:
         Weight word width (8/12).
     alphabet_set:
-        Single set applied to every parameterised layer, or ``None``
-        combined with ``layer_plan``.
+        Single ASM set applied to every parameterised layer; give it or
+        ``layer_plan``.
     layer_plan:
-        Optional per-layer alphabet sets (``None`` entries leave that layer
-        unconstrained), aligned with the network's parameterised layers.
+        Optional per-layer multipliers (conventional entries leave that
+        layer unconstrained), aligned with the network's parameterised
+        layers.
     mode:
         Constraint rounding mode (``"greedy"`` = Algorithm 1, or
         ``"nearest"``).
@@ -73,7 +75,7 @@ class ConstraintProjector:
 
     def __init__(self, network: Sequential, bits: int,
                  alphabet_set: AlphabetSet | None = None,
-                 layer_plan: list[AlphabetSet | None] | None = None,
+                 layer_plan: list[Multiplier] | None = None,
                  mode: str = "greedy",
                  backend: str | KernelBackend = "auto") -> None:
         self.network = network
@@ -85,7 +87,7 @@ class ConstraintProjector:
         if layer_plan is None:
             if alphabet_set is None:
                 raise ValueError("pass alphabet_set or layer_plan")
-            layer_plan = [alphabet_set] * len(param_layers)
+            layer_plan = [Multiplier(alphabet_set)] * len(param_layers)
         if len(layer_plan) != len(param_layers):
             raise ValueError(
                 f"plan covers {len(layer_plan)} layers, network has "
@@ -93,17 +95,12 @@ class ConstraintProjector:
             )
         self.layer_plan = list(layer_plan)
         self._targets = []
-        constrainer_cache: dict[tuple[int, ...], WeightConstrainer] = {}
-        for layer, aset in zip(param_layers, layer_plan):
-            if aset is None:
-                continue
-            key = aset.alphabets
-            if key not in constrainer_cache:
-                constrainer_cache[key] = WeightConstrainer(
-                    bits, aset, mode=mode)
-            self._targets.append(
-                (layer, weight_param_name(layer), constrainer_cache[key],
-                 {}))   # per-target kernel cache (memoized fmt + buffers)
+        for layer, multiplier in zip(param_layers, layer_plan):
+            constrainer = multiplier.constrainer(bits, mode)
+            if constrainer is not None:
+                self._targets.append(
+                    (layer, weight_param_name(layer), constrainer,
+                     {}))   # per-target kernel cache (memoized fmt + buffers)
 
     # ------------------------------------------------------------------
     @property

@@ -55,7 +55,9 @@ if os.path.join(REPO, "src") not in sys.path:
 from repro.asm.alphabet import STANDARD_SETS, standard_set  # noqa: E402
 from repro.asm.constraints import WeightConstrainer  # noqa: E402
 from repro.asm.multiplier import (  # noqa: E402
+    CONVENTIONAL,
     FALLBACK_POLICIES,
+    Multiplier,
     effective_weight_table,
 )
 from repro.datasets.registry import BENCHMARKS, build_model  # noqa: E402
@@ -74,6 +76,7 @@ from repro.rtl.generator import (  # noqa: E402
     generate_conventional_mac,
     generate_precompute_bank,
 )
+from repro.serving.artifact import save_artifact  # noqa: E402
 from repro.serving.compiled import CompiledModel  # noqa: E402
 from repro.training.mixed import paper_mixed_plan  # noqa: E402
 from repro.utils.serialization import load_mapping  # noqa: E402
@@ -125,15 +128,18 @@ def _inputs(app: str) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=shape)
 
 
-def _plan(app: str, design: str, model) -> list:
-    """Per-parameterised-layer alphabet plan of *design* on *model*."""
+def _multiplier(count: int | None) -> Multiplier:
+    return Multiplier(standard_set(count)) if count else CONVENTIONAL
+
+
+def _plan(app: str, design: str, model) -> list[Multiplier]:
+    """Per-parameterised-layer multiplier plan of *design* on *model*."""
     kind = parse_design(design)
     if kind is None or isinstance(kind, int):
-        aset = None if kind is None else standard_set(kind)
-        return [aset] * len(model.trainable_layers)
-    return (paper_mixed_plan(app, model) if kind == "mixed" else
-            [None if count == 0 else standard_set(count)
-             for count in kind])
+        return [_multiplier(kind)] * len(model.trainable_layers)
+    if kind == "mixed":
+        return [Multiplier(aset) for aset in paper_mixed_plan(app, model)]
+    return [_multiplier(count) for count in kind]
 
 
 def lower(app: str, design: str) -> QuantizedNetwork:
@@ -147,11 +153,9 @@ def lower(app: str, design: str) -> QuantizedNetwork:
         return QuantizedNetwork.from_float(model, base)
     if isinstance(kind, int):
         return QuantizedNetwork.from_float(
-            model, QuantizationSpec.constrained(BITS, standard_set(kind)))
-    plan = _plan(app, design, model)
-    layer_specs = [QuantizationSpec(BITS) if aset is None else
-                   QuantizationSpec.constrained(BITS, aset)
-                   for aset in plan]
+            model, QuantizationSpec.constrained(BITS, _multiplier(kind)))
+    layer_specs = [QuantizationSpec.constrained(BITS, multiplier)
+                   for multiplier in _plan(app, design, model)]
     return QuantizedNetwork.from_float(model, base,
                                        layer_specs=layer_specs)
 
@@ -181,7 +185,7 @@ def _networks(pins: dict, mismatches: list, workdir: str) -> None:
                 != scores.tobytes():
             mismatches.append(f"forward/{tag}: fast != reference")
         path = os.path.join(workdir, app, design.replace(":", "_"))
-        network.export(path)
+        save_artifact(network, path)
         with open(os.path.join(path, "manifest.json"), "rb") as handle:
             pins[f"artifact/{tag}/manifest.json"] = _sha(handle.read())
         pins[f"artifact/{tag}/arrays.npz"] = _npz_sha(
@@ -206,11 +210,11 @@ def _toggles(pins: dict, mismatches: list) -> None:
     raw = rng.integers(-128, 128, size=(24, 10), dtype=np.int64)
     inputs = rng.integers(-128, 128, size=24, dtype=np.int64)
     for design in UNIFORM_DESIGNS:
-        kind = parse_design(design)
-        aset = None if kind is None else standard_set(kind)
-        weights = raw if aset is None else \
-            WeightConstrainer(BITS, aset).constrain_array(raw)
-        traces = [CycleAccurateEngine(BITS, aset, backend=backend)
+        multiplier = _multiplier(parse_design(design))
+        constrainer = multiplier.constrainer(BITS)
+        weights = raw if constrainer is None else \
+            constrainer.constrain_array(raw)
+        traces = [CycleAccurateEngine(BITS, multiplier, backend=backend)
                   .run_layer(weights, inputs)
                   for backend in ("reference", "fast")]
         counts = [{"cycles": t.cycles, "macs": t.macs,
@@ -223,12 +227,13 @@ def _toggles(pins: dict, mismatches: list) -> None:
 
 
 def _neurons(pins: dict) -> None:
-    designs = [("conventional", None)] + [
-        (f"asm{count}", aset) for count, aset in STANDARD_SETS.items()]
+    designs = [("conventional", CONVENTIONAL)] + [
+        (f"asm{count}", Multiplier(aset))
+        for count, aset in STANDARD_SETS.items()]
     for bits in TABLE_BITS:
-        for design, aset in designs:
+        for design, multiplier in designs:
             pins[f"neuron/{bits}b/{design}"] = _json_sha(
-                dataclasses.asdict(make_neuron(bits, aset).cost()))
+                dataclasses.asdict(make_neuron(bits, multiplier).cost()))
 
 
 def _engines(pins: dict) -> None:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.asm.alphabet import ALPHA_2
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import Multiplier
 from repro.datasets.registry import mlp
 from repro.explore import (
     FAILED_STATUS,
@@ -59,7 +60,7 @@ FAULT_STAGES = ("train", "quantize", "constrain", "evaluate", "faults")
 
 def make_quantized(backend: str = "reference") -> QuantizedNetwork:
     net = mlp([1024, 24, 10], seed=3, name="digits")
-    spec = QuantizationSpec(8, ALPHA_2,
+    spec = QuantizationSpec(8, Multiplier(ALPHA_2),
                             constrainer=WeightConstrainer(8, ALPHA_2))
     return QuantizedNetwork.from_float(net, spec, backend=backend)
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.datasets import build_model, load_dataset, synthetic_mnist
 from repro.hardware.engine import ProcessingEngine
 from repro.nn.optim import SGD
@@ -50,7 +51,7 @@ class TestEndToEndPipeline:
                     mnist_small.flat_test, mnist_small.y_test, max_epochs=6)
         man_acc = QuantizedNetwork.from_float(
             model, QuantizationSpec(
-                8, ALPHA_1,
+                8, Multiplier(ALPHA_1),
                 constrainer=WeightConstrainer(8, ALPHA_1)),
         ).accuracy(mnist_small.flat_test, mnist_small.y_test)
         model.load_state(state)
@@ -60,8 +61,9 @@ class TestEndToEndPipeline:
 
         # and a real hardware payoff at iso-speed
         topo = model.topology()
-        conv_energy = ProcessingEngine(8, None).run(topo).energy_nj
-        man_energy = ProcessingEngine(8, ALPHA_1).run(topo).energy_nj
+        conv_energy = ProcessingEngine(8, CONVENTIONAL).run(topo).energy_nj
+        man_energy = ProcessingEngine(8, Multiplier(ALPHA_1)).run(
+            topo).energy_nj
         assert man_energy < 0.75 * conv_energy
 
     def test_methodology_on_benchmark_model(self):
@@ -84,7 +86,7 @@ class TestEndToEndPipeline:
         model = build_model("tich", seed=0)
         out = model.forward(data.flat_test, training=False)
         assert out.shape == (36, 36)
-        report = ProcessingEngine(8, ALPHA_2).run(model.topology())
+        report = ProcessingEngine(8, Multiplier(ALPHA_2)).run(model.topology())
         assert report.total_macs == model.num_params - model.num_neurons
 
     def test_cnn_pipeline(self):
@@ -101,10 +103,12 @@ class TestEndToEndPipeline:
                       data.y_test, max_epochs=2)
         q = QuantizedNetwork.from_float(
             model, QuantizationSpec(
-                12, ALPHA_1, constrainer=WeightConstrainer(12, ALPHA_1)))
+                12, Multiplier(ALPHA_1),
+                constrainer=WeightConstrainer(12, ALPHA_1)))
         acc = q.accuracy(data.x_test, data.y_test)
         assert acc > 0.3  # trained well above chance through the MAN engine
-        report = ProcessingEngine(12, ALPHA_1).run(model.topology())
+        report = ProcessingEngine(12, Multiplier(ALPHA_1)).run(
+            model.topology())
         assert report.total_macs > 0
 
 
@@ -113,7 +117,7 @@ class TestPaperInvariantsEndToEnd:
                                                          mnist_small):
         """A whole network's ASM scores equal per-weight datapath results."""
         from repro.asm.multiplier import AlphabetSetMultiplier
-        spec = QuantizationSpec(8, ALPHA_4, fallback="nearest")
+        spec = QuantizationSpec(8, Multiplier(ALPHA_4), fallback="nearest")
         q = QuantizedNetwork.from_float(trained, spec)
         layer = q.weight_layers[0]
         m = AlphabetSetMultiplier(8, ALPHA_4, fallback="nearest")
@@ -135,9 +139,11 @@ class TestPaperInvariantsEndToEnd:
         energies = []
         accuracies = []
         for aset in (ALPHA_4, ALPHA_2, ALPHA_1):
-            energies.append(ProcessingEngine(8, aset).run(topo).energy_nj)
+            energies.append(ProcessingEngine(8, Multiplier(aset)).run(
+                topo).energy_nj)
             q = QuantizedNetwork.from_float(
-                trained, QuantizationSpec(8, aset, fallback="nearest"))
+                trained, QuantizationSpec(8, Multiplier(aset),
+                                          fallback="nearest"))
             accuracies.append(q.accuracy(mnist_small.flat_test,
                                          mnist_small.y_test))
         assert energies[0] > energies[1] > energies[2]

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from repro.asm.alphabet import ALPHA_2, standard_set
-from repro.asm.multiplier import FALLBACK_POLICIES, effective_weight_table
+from repro.asm.multiplier import (
+    FALLBACK_POLICIES,
+    Multiplier,
+    effective_weight_table,
+)
 from repro.datasets.registry import lenet, mlp
 from repro.fixedpoint.qformat import QFormat
 from repro.kernels import (
@@ -79,7 +83,8 @@ class TestFastReferenceEquivalence:
     @pytest.mark.parametrize("count", [1, 2, 4, 8])
     def test_constrained_mlp(self, bits, count):
         net = mlp([64, 24, 10], seed=bits + count)
-        spec = QuantizationSpec.constrained(bits, standard_set(count))
+        spec = QuantizationSpec.constrained(
+            bits, Multiplier(standard_set(count)))
         quantized = QuantizedNetwork.from_float(net, spec)
         assert_backends_identical(quantized, random_batch(33, 64))
 
@@ -96,7 +101,8 @@ class TestFastReferenceEquivalence:
     def test_fallback_policies(self, bits, count, fallback):
         """Post-hoc deployment (no constraining) under every fallback."""
         net = mlp([64, 24, 10], seed=count)
-        spec = QuantizationSpec(bits, standard_set(count), fallback=fallback)
+        spec = QuantizationSpec(bits, Multiplier(standard_set(count)),
+                                fallback=fallback)
         quantized = QuantizedNetwork.from_float(net, spec)
         assert_backends_identical(quantized, random_batch(33, 64))
 
@@ -105,7 +111,7 @@ class TestFastReferenceEquivalence:
         """§VI.E-style mixed plan: MAN first layer, exact second."""
         net = mlp([64, 24, 10], seed=3)
         layer_specs = [
-            QuantizationSpec.constrained(bits, standard_set(1)),
+            QuantizationSpec.constrained(bits, Multiplier(standard_set(1))),
             QuantizationSpec(bits),
         ]
         quantized = QuantizedNetwork.from_float(
@@ -116,7 +122,7 @@ class TestFastReferenceEquivalence:
     def test_cnn_with_pool(self, use_lut):
         """Conv + scaled-avg-pool + dense, with and without the LUT."""
         net = lenet(10, seed=4)
-        spec = QuantizationSpec.constrained(12, ALPHA_2)
+        spec = QuantizationSpec.constrained(12, Multiplier(ALPHA_2))
         quantized = QuantizedNetwork.from_float(net, spec, use_lut=use_lut)
         x = RNG.uniform(-1.0, 1.0, size=(3, 1, 32, 32))
         assert_backends_identical(quantized, x)
@@ -216,7 +222,7 @@ class TestEffectiveWeightTableReuse:
         with pytest.raises(ValueError, match="fallback"):
             effective_weight_table(8, ALPHA_2, "zero")
         with pytest.raises(ValueError, match="fallback"):
-            QuantizationSpec(8, ALPHA_2, fallback="zero")
+            QuantizationSpec(8, Multiplier(ALPHA_2), fallback="zero")
 
 
 class TestBatchedAccuracy:

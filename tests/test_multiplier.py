@@ -15,10 +15,11 @@ from repro.asm.alphabet import (
 from repro.asm.constraints import WeightConstrainer
 from repro.asm.decompose import UnsupportedQuartetError
 from repro.asm.multiplier import (
+    CONVENTIONAL,
     FALLBACK_POLICIES,
     AlphabetSetMultiplier,
     ConventionalMultiplier,
-    effective_weights,
+    Multiplier,
 )
 from repro.hardware.simulator import CycleAccurateEngine
 from repro.nn.quantized import QuantizationSpec
@@ -243,12 +244,16 @@ def _outcome(remap):
         return type(error)
 
 
-def _reference(bits, alphabet_set, fallback, weights):
+def _reference(bits, multiplier, fallback, weights):
     """Expected outcome of an array remap, from the scalar datapath model:
     a range error outranks an unsupported quartet (the array sites check
-    the range first), and the first bad weight names the quartet."""
+    the range first), and the first bad weight names the quartet.  The
+    conventional remap is the identity, unchecked."""
+    if multiplier == CONVENTIONAL:
+        return [int(weight) for weight in weights]
     try:
-        model = AlphabetSetMultiplier(bits, alphabet_set, fallback=fallback)
+        model = AlphabetSetMultiplier(bits, multiplier.alphabet_set,
+                                      fallback=fallback)
     except ValueError as error:        # no quartet layout at this width
         return type(error)
     values, quartets = [], []
@@ -266,36 +271,66 @@ class TestOneRemap:
     """Every integer-domain remap site agrees with the explicit datapath:
     the forward pass's weight fold, ``multiply_array`` and the toggle
     simulator all return ``effective_weight``'s values, or raise the
-    error type it raises."""
+    error type it raises (count 0 draws the conventional multiplier)."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(min_value=4, max_value=12),
-           st.sampled_from(sorted(STANDARD_SETS)),
+           st.sampled_from([0] + sorted(STANDARD_SETS)),
            st.sampled_from(FALLBACK_POLICIES))
     def test_sites_match_datapath(self, data, bits, count, fallback):
-        alphabet_set = STANDARD_SETS[count]
+        multiplier = Multiplier(STANDARD_SETS[count]) if count \
+            else CONVENTIONAL
         high = (1 << (bits - 1)) - 1
         weights = np.array(data.draw(st.lists(
             st.integers(min_value=-high - 3, max_value=high + 2),
             min_size=1, max_size=8)), dtype=np.int64)
-        expected = _reference(bits, alphabet_set, fallback, weights)
-        assert _outcome(lambda: AlphabetSetMultiplier(
-            bits, alphabet_set, fallback=fallback).multiply_array(
+        expected = _reference(bits, multiplier, fallback, weights)
+        assert _outcome(lambda: (AlphabetSetMultiplier(
+            bits, multiplier.alphabet_set, fallback=fallback) if count
+            else ConventionalMultiplier(bits)).multiply_array(
                 weights, np.int64(1))) == expected
         if fallback == "error":        # the simulator has no fallback
             assert _outcome(lambda: CycleAccurateEngine(
-                bits, alphabet_set).remap_weights(weights)) == expected
+                bits, multiplier).remap_weights(weights)) == expected
         # the fold quantises floats first, so it sees in-range codes only;
         # the conventional fold returns those codes unmapped
         floats = weights / float(high + 1)
         codes, _ = QuantizationSpec(bits).quantize_weights(floats)
-        spec = QuantizationSpec(bits, alphabet_set, fallback=fallback)
+        spec = QuantizationSpec(bits, multiplier, fallback=fallback)
         assert _outcome(lambda: spec.quantize_weights(floats)[0]) == \
-            _reference(bits, alphabet_set, fallback, codes)
+            _reference(bits, multiplier, fallback, codes)
 
     def test_error_names_the_quartet(self):
         """Weight 105 is quartets (9, 6) at 8 bits; {1,3} lacks 9."""
         with pytest.raises(UnsupportedQuartetError) as raised:
-            effective_weights(8, ALPHA_2, np.array([3, -105, 11]))
+            Multiplier(ALPHA_2).effective_weights(
+                8, np.array([3, -105, 11]))
         assert raised.value.value == 9
         assert "quartet value 9 " in str(raised.value)
+
+
+class TestMultiplier:
+    """The one value that tells the conventional multiplier from an ASM."""
+
+    CASES = [CONVENTIONAL] + [Multiplier(aset)
+                              for aset in STANDARD_SETS.values()]
+
+    @pytest.mark.parametrize("multiplier", CASES, ids=str)
+    def test_token_round_trip(self, multiplier):
+        assert Multiplier.from_token(multiplier.token) == multiplier
+
+    def test_bank_multiples(self):
+        assert CONVENTIONAL.bank_multiples == ()
+        assert Multiplier(ALPHA_1).bank_multiples == ()
+        assert Multiplier(ALPHA_2).bank_multiples == (3,)
+
+    @pytest.mark.parametrize("bits", [8, 12])
+    def test_constrained_conventional_is_the_plain_spec(self, bits):
+        plain = QuantizationSpec(bits)
+        constrained = QuantizationSpec.constrained(bits, CONVENTIONAL)
+        assert constrained.label == plain.label
+        weights = np.random.default_rng(bits).normal(size=(16, 9))
+        folded, fmt = constrained.quantize_weights(weights)
+        expected, expected_fmt = plain.quantize_weights(weights)
+        assert fmt == expected_fmt
+        assert folded.tobytes() == expected.tobytes()

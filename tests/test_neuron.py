@@ -7,6 +7,7 @@ headline hardware claims hold in the model.
 import pytest
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4, FULL_ALPHABETS
+from repro.asm.multiplier import Multiplier
 from repro.hardware.neuron import (
     CLOCK_GHZ,
     ASMNeuron,
@@ -25,7 +26,8 @@ def costs():
     for bits in (8, 12):
         table[(bits, "conv")] = make_neuron(bits).cost()
         for aset in (ALPHA_4, ALPHA_2, ALPHA_1):
-            table[(bits, len(aset))] = make_neuron(bits, aset).cost()
+            table[(bits, len(aset))] = make_neuron(
+                bits, Multiplier(aset)).cost()
     return table
 
 
@@ -34,12 +36,12 @@ class TestFactory:
         assert isinstance(make_neuron(8), ConventionalNeuron)
 
     def test_asm(self):
-        design = make_neuron(8, ALPHA_4)
+        design = make_neuron(8, Multiplier(ALPHA_4))
         assert isinstance(design, ASMNeuron)
         assert not design.is_man
 
     def test_man(self):
-        design = make_neuron(8, ALPHA_1)
+        design = make_neuron(8, Multiplier(ALPHA_1))
         assert design.is_man
         assert design.name == "man-8b-1a"
 
@@ -59,11 +61,11 @@ class TestFactory:
 
 class TestStructure:
     def test_man_has_no_bank_stage(self):
-        design = make_neuron(8, ALPHA_1)
+        design = make_neuron(8, Multiplier(ALPHA_1))
         assert "bank" not in [stage.name for stage in design.stages]
 
     def test_asm_has_bank_stage(self):
-        design = make_neuron(8, ALPHA_2)
+        design = make_neuron(8, Multiplier(ALPHA_2))
         assert "bank" in [stage.name for stage in design.stages]
 
     def test_conventional_has_multiplier(self):
@@ -72,23 +74,23 @@ class TestStructure:
         assert any(name.startswith("mult") for name in parts)
 
     def test_asm_has_no_multiplier(self):
-        design = make_neuron(8, ALPHA_2)
+        design = make_neuron(8, Multiplier(ALPHA_2))
         parts = [c.name for stage in design.stages for c, _ in stage.parts]
         assert not any(name.startswith("mult8") for name in parts)
         assert any(name.startswith("bshift") for name in parts)
 
     def test_man_has_no_select_mux(self):
-        design = make_neuron(8, ALPHA_1)
+        design = make_neuron(8, Multiplier(ALPHA_1))
         parts = [c.name for stage in design.stages for c, _ in stage.parts]
         assert not any(name.startswith("mux") for name in parts)
 
     def test_multi_alphabet_has_select_mux(self):
-        design = make_neuron(8, ALPHA_4)
+        design = make_neuron(8, Multiplier(ALPHA_4))
         parts = [c.name for stage in design.stages for c, _ in stage.parts]
         assert any(name.startswith("mux4to1") for name in parts)
 
     def test_report_mentions_stages(self):
-        text = make_neuron(12, ALPHA_2).report()
+        text = make_neuron(12, Multiplier(ALPHA_2)).report()
         for stage in ("bank", "multiply", "accumulate", "activate"):
             assert f"[{stage}]" in text
 
@@ -102,7 +104,7 @@ class TestIsoSpeedSizing:
     def test_asm_designs_meet_timing(self):
         for bits in (8, 12):
             for aset in (ALPHA_4, ALPHA_2, ALPHA_1):
-                cost = make_neuron(bits, aset).cost()
+                cost = make_neuron(bits, Multiplier(aset)).cost()
                 assert cost.max_sizing_factor == 1.0, (bits, str(aset))
 
     def test_relaxed_clock_removes_penalty(self):
@@ -187,26 +189,26 @@ class TestFullAlphabetASM:
         """Even the 8-alphabet (exact) ASM avoids the array multiplier's
         timing wall at 12 bits."""
         conv = make_neuron(12).cost()
-        full = make_neuron(12, FULL_ALPHABETS).cost()
+        full = make_neuron(12, Multiplier(FULL_ALPHABETS)).cost()
         assert full.area_um2 < conv.area_um2
 
 
 class TestNeuronConfig:
     def test_custom_config_respected(self):
         config = NeuronConfig(share_units=8)
-        design = make_neuron(8, ALPHA_2, config=config)
+        design = make_neuron(8, Multiplier(ALPHA_2), config=config)
         assert design.config.share_units == 8
 
     def test_more_sharing_cheaper_bank(self):
-        lone = make_neuron(8, ALPHA_4,
+        lone = make_neuron(8, Multiplier(ALPHA_4),
                            config=NeuronConfig(share_units=1)).cost()
-        shared = make_neuron(8, ALPHA_4,
+        shared = make_neuron(8, Multiplier(ALPHA_4),
                              config=NeuronConfig(share_units=4)).cost()
         assert shared.area_um2 < lone.area_um2
 
     def test_sharing_does_not_matter_for_man(self):
-        lone = make_neuron(8, ALPHA_1,
+        lone = make_neuron(8, Multiplier(ALPHA_1),
                            config=NeuronConfig(share_units=1)).cost()
-        shared = make_neuron(8, ALPHA_1,
+        shared = make_neuron(8, Multiplier(ALPHA_1),
                              config=NeuronConfig(share_units=4)).cost()
         assert lone.area_um2 == pytest.approx(shared.area_um2)

@@ -8,6 +8,7 @@ import shutil
 
 import pytest
 
+from repro.asm.multiplier import Multiplier
 from repro.pipeline import (
     Budget,
     Pipeline,
@@ -428,6 +429,7 @@ class TestLegacyEquivalence:
         from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
         from repro.nn.trainer import Trainer
         from repro.pipeline.config import TRAIN_SETTINGS
+        from repro.serving.artifact import save_artifact
         from repro.serving.registry import ModelRegistry
         from repro.training.constrained import (
             ConstraintProjector, constrained_trainer)
@@ -457,11 +459,11 @@ class TestLegacyEquivalence:
             max_epochs=TINY["retrain_epochs"])
         constrainer = WeightConstrainer(bits, alphabet_set)
         quantized = QuantizedNetwork.from_float(
-            model, QuantizationSpec(bits, alphabet_set,
+            model, QuantizationSpec(bits, Multiplier(alphabet_set),
                                     constrainer=constrainer))
         legacy_path = os.path.join("legacy-artifacts",
                                    f"{app}-asm{num_alphabets}")
-        quantized.export(legacy_path)
+        save_artifact(quantized, legacy_path)
         compiled = ModelRegistry().register(legacy_path, name=app).model
         assert np.array_equal(quantized.forward(x_test),
                               compiled.forward(x_test))
@@ -529,7 +531,7 @@ class TestLegacyEquivalence:
             max_epochs=TINY["retrain_epochs"])
         constrained_accuracy = QuantizedNetwork.from_float(
             model, QuantizationSpec.constrained(
-                spec.bits, alphabet_set)).accuracy(
+                spec.bits, Multiplier(alphabet_set))).accuracy(
                     x_test, dataset.y_test)
 
         grid = EXPERIMENTS["table2"].configs[0]
@@ -586,7 +588,7 @@ class TestLegacyEquivalence:
                 max_epochs=TINY["retrain_epochs"])
             accuracies.append(QuantizedNetwork.from_float(
                 model, QuantizationSpec.constrained(
-                    spec.bits, alphabet_set)).accuracy(
+                    spec.bits, Multiplier(alphabet_set))).accuracy(
                         x_test, dataset.y_test))
             if accuracies[-1] >= baseline * quality:
                 break

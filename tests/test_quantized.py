@@ -6,6 +6,7 @@ import pytest
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4, FULL_ALPHABETS
 from repro.asm.constraints import WeightConstrainer
 from repro.asm.decompose import UnsupportedQuartetError
+from repro.asm.multiplier import Multiplier
 from repro.datasets import lenet, mlp, synthetic_mnist
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 
@@ -27,15 +28,17 @@ def trained_mlp():
 class TestQuantizationSpec:
     def test_labels(self):
         assert QuantizationSpec(8).label == "8b-conventional"
-        assert QuantizationSpec(8, ALPHA_2, fallback="nearest").label == \
+        assert QuantizationSpec(8, Multiplier(ALPHA_2),
+                                fallback="nearest").label == \
             "8b-asm2-nearest"
         c = WeightConstrainer(8, ALPHA_2)
-        assert QuantizationSpec(8, ALPHA_2, constrainer=c).label == \
+        assert QuantizationSpec(8, Multiplier(ALPHA_2),
+                                constrainer=c).label == \
             "8b-asm2-constrained"
 
     def test_constrainer_bits_mismatch(self):
         with pytest.raises(ValueError):
-            QuantizationSpec(12, ALPHA_2,
+            QuantizationSpec(12, Multiplier(ALPHA_2),
                              constrainer=WeightConstrainer(8, ALPHA_2))
 
     def test_quantize_weights_range(self):
@@ -49,12 +52,12 @@ class TestQuantizationSpec:
 
     def test_constrained_weights_on_grid(self):
         c = WeightConstrainer(8, ALPHA_1)
-        spec = QuantizationSpec(8, ALPHA_1, constrainer=c)
+        spec = QuantizationSpec(8, Multiplier(ALPHA_1), constrainer=c)
         ints, _ = spec.quantize_weights(RNG.normal(size=(50,)))
         assert all(c.is_representable(int(w)) for w in ints)
 
     def test_effective_remap_applied(self):
-        spec = QuantizationSpec(8, ALPHA_2, fallback="nearest")
+        spec = QuantizationSpec(8, Multiplier(ALPHA_2), fallback="nearest")
         # a weight value landing on 105 (R=9 unsupported) must be remapped
         fmt_scale = 105 / 128
         ints, fmt = spec.quantize_weights(np.array([fmt_scale, 127 / 128]))
@@ -83,7 +86,8 @@ class TestQuantizedAccuracy:
         model, data = trained_mlp
         conv = QuantizedNetwork.from_float(model, QuantizationSpec(8))
         asm = QuantizedNetwork.from_float(
-            model, QuantizationSpec(8, FULL_ALPHABETS, fallback="nearest"))
+            model, QuantizationSpec(8, Multiplier(FULL_ALPHABETS),
+                                    fallback="nearest"))
         np.testing.assert_array_equal(
             conv.predict(data.flat_test[:50]),
             asm.predict(data.flat_test[:50]))
@@ -92,13 +96,14 @@ class TestQuantizedAccuracy:
         model, _ = trained_mlp
         with pytest.raises(UnsupportedQuartetError):
             # fallback="error": lowering unconstrained weights must fail
-            QuantizedNetwork.from_float(model, QuantizationSpec(8, ALPHA_2))
+            QuantizedNetwork.from_float(
+                model, QuantizationSpec(8, Multiplier(ALPHA_2)))
 
     def test_constrained_weights_run_under_error_policy(self, trained_mlp):
         model, data = trained_mlp
         c = WeightConstrainer(8, ALPHA_2)
         q = QuantizedNetwork.from_float(
-            model, QuantizationSpec(8, ALPHA_2, constrainer=c))
+            model, QuantizationSpec(8, Multiplier(ALPHA_2), constrainer=c))
         acc = q.accuracy(data.flat_test, data.y_test)
         assert acc > 0.3  # runs, and is far better than chance
 
@@ -130,7 +135,7 @@ class TestQuantizedCNN:
         net = lenet(seed=0)
         c = WeightConstrainer(12, ALPHA_1)
         q = QuantizedNetwork.from_float(
-            net, QuantizationSpec(12, ALPHA_1, constrainer=c))
+            net, QuantizationSpec(12, Multiplier(ALPHA_1), constrainer=c))
         x = RNG.uniform(0, 1, size=(2, 1, 32, 32))
         assert q.forward(x).shape == (2, 10)
 
@@ -140,8 +145,8 @@ class TestLayerSpecs:
         model, data = trained_mlp
         c1 = WeightConstrainer(8, ALPHA_1)
         c4 = WeightConstrainer(8, ALPHA_4)
-        specs = [QuantizationSpec(8, ALPHA_1, constrainer=c1),
-                 QuantizationSpec(8, ALPHA_4, constrainer=c4)]
+        specs = [QuantizationSpec(8, Multiplier(ALPHA_1), constrainer=c1),
+                 QuantizationSpec(8, Multiplier(ALPHA_4), constrainer=c4)]
         q = QuantizedNetwork.from_float(model, QuantizationSpec(8),
                                         layer_specs=specs)
         assert 0.0 <= q.accuracy(data.flat_test, data.y_test) <= 1.0
@@ -176,7 +181,7 @@ class TestKernelBackends:
         model, data = trained_mlp
         c = WeightConstrainer(8, ALPHA_2)
         q = QuantizedNetwork.from_float(
-            model, QuantizationSpec(8, ALPHA_2, constrainer=c))
+            model, QuantizationSpec(8, Multiplier(ALPHA_2), constrainer=c))
         fast = q.with_backend("fast")
         np.testing.assert_array_equal(q.forward(data.flat_test),
                                       fast.forward(data.flat_test))
@@ -215,6 +220,7 @@ class TestBitWidthOrdering:
         for bits in (8, 12):
             c = WeightConstrainer(bits, ALPHA_1)
             q = QuantizedNetwork.from_float(
-                model, QuantizationSpec(bits, ALPHA_1, constrainer=c))
+                model, QuantizationSpec(bits, Multiplier(ALPHA_1),
+                                        constrainer=c))
             accs[bits] = q.accuracy(data.flat_test, data.y_test)
         assert accs[12] >= accs[8] - 0.05

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4, FULL_ALPHABETS
 from repro.asm.constraints import WeightConstrainer
-from repro.asm.multiplier import AlphabetSetMultiplier
+from repro.asm.multiplier import (
+    CONVENTIONAL,
+    AlphabetSetMultiplier,
+    Multiplier,
+)
 from repro.rtl import (
     evaluate_mac_product,
     generate_asm_mac,
@@ -20,10 +24,10 @@ from repro.rtl import (
 
 class TestModuleNames:
     def test_names(self):
-        assert module_name(8, None) == "conv_mac_8b"
-        assert module_name(8, ALPHA_1) == "man_mac_8b"
-        assert module_name(12, ALPHA_2) == "asm2_mac_12b"
-        assert module_name(12, ALPHA_4) == "asm4_mac_12b"
+        assert module_name(8, CONVENTIONAL) == "conv_mac_8b"
+        assert module_name(8, Multiplier(ALPHA_1)) == "man_mac_8b"
+        assert module_name(12, Multiplier(ALPHA_2)) == "asm2_mac_12b"
+        assert module_name(12, Multiplier(ALPHA_4)) == "asm4_mac_12b"
 
 
 class TestStructure:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2
 from repro.asm.constraints import WeightConstrainer
-from repro.asm.multiplier import AlphabetSetMultiplier
+from repro.asm.multiplier import AlphabetSetMultiplier, Multiplier
 from repro.datasets.registry import lenet, mlp
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.serving import (
@@ -32,7 +32,13 @@ from repro.serving import (
     create_server,
     read_manifest,
 )
-from repro.serving.artifact import ARRAYS_NAME, MANIFEST_NAME, ArtifactError
+from repro.serving.artifact import (
+    ARRAYS_NAME,
+    MANIFEST_NAME,
+    ArtifactError,
+    _manifest_digest,
+    save_artifact,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -42,7 +48,7 @@ def make_quantized(seed: int = 3, constrained: bool = True,
     """A small (untrained) digits MLP lowered onto the ASM engine."""
     net = mlp([1024, 24, 10], seed=seed, name="digits")
     if constrained:
-        spec = QuantizationSpec(8, ALPHA_2,
+        spec = QuantizationSpec(8, Multiplier(ALPHA_2),
                                 constrainer=WeightConstrainer(8, ALPHA_2))
     else:
         spec = QuantizationSpec(8)
@@ -52,7 +58,7 @@ def make_quantized(seed: int = 3, constrained: bool = True,
 @pytest.fixture
 def exported(tmp_path):
     quantized = make_quantized()
-    path = quantized.export(str(tmp_path / "digits"))
+    path = save_artifact(quantized, str(tmp_path / "digits"))
     return quantized, path
 
 
@@ -78,17 +84,17 @@ class TestArtifactRoundTrip:
 
     def test_lut_round_trip(self, tmp_path):
         quantized = make_quantized(use_lut=True)
-        path = quantized.export(str(tmp_path / "lut"))
+        path = save_artifact(quantized, str(tmp_path / "lut"))
         x = sample_batch(8)
         assert np.array_equal(quantized.forward(x),
                               CompiledModel.load(path).forward(x))
 
     def test_conv_round_trip(self, tmp_path):
         net = lenet(10, seed=1)
-        spec = QuantizationSpec(12, ALPHA_2,
+        spec = QuantizationSpec(12, Multiplier(ALPHA_2),
                                 constrainer=WeightConstrainer(12, ALPHA_2))
         quantized = QuantizedNetwork.from_float(net, spec)
-        path = quantized.export(str(tmp_path / "lenet"))
+        path = save_artifact(quantized, str(tmp_path / "lenet"))
         x = RNG.uniform(-1.0, 1.0, size=(3, 1, 32, 32))
         compiled = CompiledModel.load(path)
         assert np.array_equal(quantized.forward(x), compiled.forward(x))
@@ -100,8 +106,8 @@ class TestArtifactRoundTrip:
         """Two exports of one network are the same files byte for byte;
         the zip members carry no write time."""
         quantized = make_quantized()
-        first = quantized.export(str(tmp_path / "first"))
-        second = quantized.export(str(tmp_path / "second"))
+        first = save_artifact(quantized, str(tmp_path / "first"))
+        second = save_artifact(quantized, str(tmp_path / "second"))
         for name in (MANIFEST_NAME, ARRAYS_NAME):
             with open(os.path.join(first, name), "rb") as a, \
                     open(os.path.join(second, name), "rb") as b:
@@ -138,6 +144,20 @@ class TestArtifactRoundTrip:
         with pytest.raises(ArtifactIntegrityError, match="checksum"):
             CompiledModel.load(path)
 
+    def test_invalid_alphabets_rejected(self, exported):
+        """A re-checksummed manifest naming no valid alphabet set is a
+        typed load error, not a ValueError from deep inside the load."""
+        _, path = exported
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["layers"][0]["alphabets"] = [2]
+        manifest["checksum"] = _manifest_digest(manifest)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ArtifactError, match="layer 0: bad alphabets"):
+            CompiledModel.load(path)
+
     def test_missing_bundle_rejected(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -149,17 +169,17 @@ class TestArtifactRoundTrip:
         from repro.hardware.engine import ProcessingEngine
 
         net = mlp([64, 16, 10], seed=5, name="mixed")
-        base = QuantizationSpec(8, ALPHA_4,
+        base = QuantizationSpec(8, Multiplier(ALPHA_4),
                                 constrainer=WeightConstrainer(8, ALPHA_4))
         layer_specs = [
-            QuantizationSpec(8, ALPHA_4,
+            QuantizationSpec(8, Multiplier(ALPHA_4),
                              constrainer=WeightConstrainer(8, ALPHA_4)),
-            QuantizationSpec(8, ALPHA_2,
+            QuantizationSpec(8, Multiplier(ALPHA_2),
                              constrainer=WeightConstrainer(8, ALPHA_2)),
         ]
         quantized = QuantizedNetwork.from_float(net, base,
                                                 layer_specs=layer_specs)
-        path = quantized.export(str(tmp_path / "mixed"))
+        path = save_artifact(quantized, str(tmp_path / "mixed"))
         manifest = read_manifest(path)
         assert [entry["alphabets"] for entry in manifest["layers"]] == \
             [[1, 3, 5, 7], [1, 3]]
@@ -167,9 +187,10 @@ class TestArtifactRoundTrip:
         x = RNG.uniform(-1.0, 1.0, size=(4, 64))
         assert np.array_equal(quantized.forward(x), compiled.forward(x))
         # energy must be costed with each layer's own alphabet set
-        expected = ProcessingEngine(8, ALPHA_4).run(
+        expected = ProcessingEngine(8, Multiplier(ALPHA_4)).run(
             compiled.topology(),
-            layer_alphabets=[ALPHA_4, ALPHA_2]).energy_nj
+            layer_alphabets=[Multiplier(ALPHA_4),
+                             Multiplier(ALPHA_2)]).energy_nj
         assert compiled.energy_per_inference_nj() == pytest.approx(expected)
 
 
@@ -282,7 +303,7 @@ class TestMicroBatcher:
     def test_multi_model_grouping(self, exported, tmp_path):
         _, path = exported
         other = make_quantized(seed=9, constrained=False)
-        other_path = other.export(str(tmp_path / "other"))
+        other_path = save_artifact(other, str(tmp_path / "other"))
         registry = ModelRegistry()
         registry.register(path, name="digits")
         registry.register(other_path, name="other")

@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4, ALPHA_8
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.hardware.engine import ProcessingEngine
 from repro.hardware.simulator import CycleAccurateEngine
 from repro.kernels import get_backend
@@ -60,10 +61,10 @@ class TestSimulatorBitIdentity:
             weights = _constrained_weights((fan_in, neurons), 8, aset, rng)
             inputs = rng.integers(-120, 121, size=fan_in)
             ref = CycleAccurateEngine(
-                8, aset, units=units, backend="reference"
+                8, Multiplier(aset), units=units, backend="reference"
             ).run_layer(weights, inputs)
             fast = CycleAccurateEngine(
-                8, aset, units=units, backend="fast"
+                8, Multiplier(aset), units=units, backend="fast"
             ).run_layer(weights, inputs)
             assert ref == fast
 
@@ -71,10 +72,10 @@ class TestSimulatorBitIdentity:
         rng = np.random.default_rng(99)
         weights = _constrained_weights((31, 9), 12, ALPHA_4, rng)
         inputs = rng.integers(-2000, 2001, size=31)
-        ref = CycleAccurateEngine(12, ALPHA_4,
+        ref = CycleAccurateEngine(12, Multiplier(ALPHA_4),
                                   backend="reference").run_layer(weights,
                                                                  inputs)
-        fast = CycleAccurateEngine(12, ALPHA_4,
+        fast = CycleAccurateEngine(12, Multiplier(ALPHA_4),
                                    backend="fast").run_layer(weights, inputs)
         assert ref == fast
 
@@ -84,10 +85,10 @@ class TestSimulatorBitIdentity:
         weights = _constrained_weights((40, 6), 8, ALPHA_2, rng)
         inputs = rng.integers(-120, 121, size=40)
         inputs[::2] = 0
-        ref = CycleAccurateEngine(8, ALPHA_2,
+        ref = CycleAccurateEngine(8, Multiplier(ALPHA_2),
                                   backend="reference").run_layer(weights,
                                                                  inputs)
-        fast = CycleAccurateEngine(8, ALPHA_2,
+        fast = CycleAccurateEngine(8, Multiplier(ALPHA_2),
                                    backend="fast").run_layer(weights, inputs)
         assert ref == fast
 
@@ -97,25 +98,26 @@ class TestSimulatorBitIdentity:
         inputs = np.ones(4, dtype=np.int64)
         for backend in ("reference", "fast"):
             trace = CycleAccurateEngine(
-                8, None, backend=backend).run_layer(weights, inputs)
+                8, CONVENTIONAL, backend=backend).run_layer(weights, inputs)
             assert trace.cycles == 0
             assert trace.utilization == 0.0
             assert trace.toggles.total == 0
 
     def test_auto_resolves_to_fast(self):
-        assert CycleAccurateEngine(8, ALPHA_1).backend == "fast"
+        man = Multiplier(ALPHA_1)
+        assert CycleAccurateEngine(8, man).backend == "fast"
         assert CycleAccurateEngine(
-            8, ALPHA_1, backend="reference").backend == "reference"
+            8, man, backend="reference").backend == "reference"
 
     def test_engine_simulator_factory(self):
         """ProcessingEngine hands its backend to memoized simulators."""
         engine = ProcessingEngine(8, backend="reference")
-        sim = engine.simulator(ALPHA_2)
+        sim = engine.simulator(Multiplier(ALPHA_2))
         assert sim.backend == "reference"
         assert sim.units == engine.units
-        assert engine.simulator(ALPHA_2) is sim          # memoized
-        conventional = engine.simulator(None)            # explicit None
-        assert conventional.alphabet_set is None
+        assert engine.simulator(Multiplier(ALPHA_2)) is sim   # memoized
+        conventional = engine.simulator(CONVENTIONAL)
+        assert conventional.multiplier == CONVENTIONAL
         assert conventional is not sim
 
 

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
 from repro.asm.constraints import WeightConstrainer
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.fixedpoint.binary import popcount_array
 from repro.hardware.engine import LayerWork, ProcessingEngine
 from repro.hardware.simulator import CycleAccurateEngine
@@ -86,9 +87,9 @@ class TestCycleCounts:
         """Cycle count equals the analytic model's for the same layer."""
         weights = _constrained_weights((20, 10), 8, ALPHA_1)
         inputs = RNG.integers(-100, 100, size=20)
-        sim = CycleAccurateEngine(8, ALPHA_1)
+        sim = CycleAccurateEngine(8, Multiplier(ALPHA_1))
         trace = sim.run_layer(weights, inputs)
-        analytic = ProcessingEngine(8, ALPHA_1).layer_cycles(
+        analytic = ProcessingEngine(8, Multiplier(ALPHA_1)).layer_cycles(
             LayerWork("fc", 10, 20))
         assert trace.cycles == analytic
 
@@ -96,19 +97,22 @@ class TestCycleCounts:
         # 5 neurons on 4 lanes: second group runs 1/4 full
         weights = _constrained_weights((8, 5), 8, ALPHA_1)
         inputs = RNG.integers(-100, 100, size=8)
-        trace = CycleAccurateEngine(8, ALPHA_1).run_layer(weights, inputs)
+        trace = CycleAccurateEngine(8, Multiplier(ALPHA_1)).run_layer(
+            weights, inputs)
         assert trace.utilization == pytest.approx((4 + 1) / (2 * 4))
 
     def test_full_groups_fully_utilized(self):
         weights = _constrained_weights((6, 8), 8, ALPHA_1)
         inputs = RNG.integers(-100, 100, size=6)
-        trace = CycleAccurateEngine(8, ALPHA_1).run_layer(weights, inputs)
+        trace = CycleAccurateEngine(8, Multiplier(ALPHA_1)).run_layer(
+            weights, inputs)
         assert trace.utilization == 1.0
 
     def test_macs_counted(self):
         weights = _constrained_weights((6, 8), 8, ALPHA_1)
         inputs = RNG.integers(-100, 100, size=6)
-        trace = CycleAccurateEngine(8, ALPHA_1).run_layer(weights, inputs)
+        trace = CycleAccurateEngine(8, Multiplier(ALPHA_1)).run_layer(
+            weights, inputs)
         assert trace.macs == 48
 
 
@@ -118,7 +122,7 @@ class TestEnergySemantics:
         weights = _constrained_weights((16, 8), 8, ALPHA_1)
         zeros = np.zeros(16, dtype=np.int64)
         actives = RNG.integers(-120, 120, size=16)
-        sim = CycleAccurateEngine(8, ALPHA_1)
+        sim = CycleAccurateEngine(8, Multiplier(ALPHA_1))
         quiet = sim.run_layer(weights, zeros)
         busy = sim.run_layer(weights, actives)
         assert quiet.energy_nj < 0.05 * busy.energy_nj
@@ -129,7 +133,7 @@ class TestEnergySemantics:
         dense = RNG.integers(-120, 120, size=64)
         sparse = dense.copy()
         sparse[::2] = 0
-        sim = CycleAccurateEngine(8, ALPHA_1)
+        sim = CycleAccurateEngine(8, Multiplier(ALPHA_1))
         assert sim.run_layer(weights, sparse).energy_nj < \
             sim.run_layer(weights, dense).energy_nj
 
@@ -138,17 +142,18 @@ class TestEnergySemantics:
         conventional engine pays extra for nothing on this comparison."""
         weights = _constrained_weights((32, 8), 8, ALPHA_2)
         inputs = RNG.integers(-120, 120, size=32)
-        man = CycleAccurateEngine(8, ALPHA_2).run_layer(weights, inputs)
+        man = CycleAccurateEngine(8, Multiplier(ALPHA_2)).run_layer(
+            weights, inputs)
         assert man.toggles.bank_outputs > 0
         man1 = CycleAccurateEngine(
-            8, ALPHA_1).run_layer(
+            8, Multiplier(ALPHA_1)).run_layer(
             WeightConstrainer(8, ALPHA_1).constrain_array(weights), inputs)
         assert man1.toggles.bank_outputs == 0
 
     def test_deterministic(self):
         weights = _constrained_weights((16, 8), 8, ALPHA_4)
         inputs = RNG.integers(-100, 100, size=16)
-        sim = CycleAccurateEngine(8, ALPHA_4)
+        sim = CycleAccurateEngine(8, Multiplier(ALPHA_4))
         a = sim.run_layer(weights, inputs)
         b = sim.run_layer(weights, inputs)
         assert a == b
@@ -156,7 +161,8 @@ class TestEnergySemantics:
     def test_toggle_totals(self):
         weights = _constrained_weights((8, 4), 8, ALPHA_2)
         inputs = RNG.integers(-100, 100, size=8)
-        trace = CycleAccurateEngine(8, ALPHA_2).run_layer(weights, inputs)
+        trace = CycleAccurateEngine(8, Multiplier(ALPHA_2)).run_layer(
+            weights, inputs)
         t = trace.toggles
         assert t.total == (t.input_bus + t.bank_outputs + t.products
                            + t.accumulators)
@@ -168,23 +174,24 @@ class TestValidation:
         weights = np.full((4, 2), 105)  # R=9 unsupported under {1,3}
         inputs = np.ones(4, dtype=np.int64)
         with pytest.raises(ValueError):
-            CycleAccurateEngine(8, ALPHA_2).run_layer(weights, inputs)
+            CycleAccurateEngine(8, Multiplier(ALPHA_2)).run_layer(
+                weights, inputs)
 
     def test_conventional_accepts_any_weights(self):
         weights = np.full((4, 2), 105)
         inputs = np.ones(4, dtype=np.int64)
-        trace = CycleAccurateEngine(8, None).run_layer(weights, inputs)
+        trace = CycleAccurateEngine(8, CONVENTIONAL).run_layer(weights, inputs)
         assert trace.macs == 8
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            CycleAccurateEngine(8, None).run_layer(
+            CycleAccurateEngine(8, CONVENTIONAL).run_layer(
                 np.zeros((4, 2), dtype=np.int64),
                 np.zeros(5, dtype=np.int64))
 
     def test_out_of_range_weights(self):
         with pytest.raises(OverflowError):
-            CycleAccurateEngine(8, ALPHA_1).run_layer(
+            CycleAccurateEngine(8, Multiplier(ALPHA_1)).run_layer(
                 np.full((2, 2), 300), np.ones(2, dtype=np.int64))
 
     def test_bad_geometry(self):
@@ -203,7 +210,8 @@ class TestAgainstAnalyticModel:
                                        rng=np.random.default_rng(0))
         inputs = np.random.default_rng(1).integers(
             -100, 100, size=fan_in)
-        trace = CycleAccurateEngine(8, ALPHA_1).run_layer(weights, inputs)
+        trace = CycleAccurateEngine(8, Multiplier(ALPHA_1)).run_layer(
+            weights, inputs)
         assert trace.cycles == -(-neurons // 4) * fan_in
 
     def test_energy_same_order_as_analytic(self):
@@ -212,10 +220,11 @@ class TestAgainstAnalyticModel:
         fan_in, neurons = 64, 16
         weights = _constrained_weights((fan_in, neurons), 8, ALPHA_1)
         inputs = RNG.integers(-120, 120, size=fan_in)
-        sim_nj = CycleAccurateEngine(8, ALPHA_1).run_layer(
+        sim_nj = CycleAccurateEngine(8, Multiplier(ALPHA_1)).run_layer(
             weights, inputs).energy_nj
         from repro.hardware.engine import NetworkTopology
         topo = NetworkTopology("t", (LayerWork("fc", neurons, fan_in),))
-        analytic_nj = ProcessingEngine(8, ALPHA_1).run(topo).energy_nj
+        analytic_nj = ProcessingEngine(8, Multiplier(ALPHA_1)).run(
+            topo).energy_nj
         ratio = sim_nj / analytic_nj
         assert 0.1 < ratio < 10.0

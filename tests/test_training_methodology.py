@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.datasets import mlp, synthetic_mnist
 from repro.nn.optim import SGD
 from repro.pipeline import Budget, Pipeline, PipelineConfig, \
@@ -77,7 +78,7 @@ class TestConstraintProjector:
     def test_layer_plan_partial(self):
         model = fresh_model()
         projector = ConstraintProjector(
-            model, 8, layer_plan=[ALPHA_1, None])
+            model, 8, layer_plan=[Multiplier(ALPHA_1), CONVENTIONAL])
         assert projector.num_constrained_layers == 1
         w_out_before = model.layers[1].params["W"].copy()
         projector.project()
@@ -87,7 +88,7 @@ class TestConstraintProjector:
     def test_plan_length_check(self):
         model = fresh_model()
         with pytest.raises(ValueError):
-            ConstraintProjector(model, 8, layer_plan=[ALPHA_1])
+            ConstraintProjector(model, 8, layer_plan=[Multiplier(ALPHA_1)])
 
     def test_needs_set_or_plan(self):
         with pytest.raises(ValueError):
