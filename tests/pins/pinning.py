@@ -30,6 +30,11 @@ Pinned entries (all seeded, none trained, so none depends on the host):
   and the dataset key of each ``examples/configs`` file (TOML files need
   ``tomllib``, so Python < 3.11 computes no entry for them).
 
+The public surface is pinned beside the digests, readably:
+``tests/pins/surface.json`` maps every ``repro`` module that declares
+``__all__`` to its sorted names (:func:`surface`), so an added or dropped
+export is a reviewed diff of that file.
+
 Besides the digests, :func:`compute` reports *mismatches*: claims that
 must hold at any commit (fast == reference forward scores and toggle
 counts).
@@ -39,8 +44,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import sys
 import tempfile
 import zipfile
@@ -83,6 +90,7 @@ from repro.utils.serialization import load_mapping  # noqa: E402
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "manifest.json")
+SURFACE = os.path.join(os.path.dirname(MANIFEST), "surface.json")
 CONFIG_DIR = os.path.join(REPO, "examples", "configs")
 
 BITS = 8
@@ -311,3 +319,36 @@ def compute() -> tuple[dict[str, str], list[str]]:
 def load_manifest() -> dict[str, str]:
     with open(MANIFEST) as handle:
         return json.load(handle)["pins"]
+
+
+def surface() -> dict[str, list[str]]:
+    """Sorted ``__all__`` of every ``repro`` module that declares one."""
+    import repro
+
+    names = ["repro"] + [info.name for info in pkgutil.walk_packages(
+        repro.__path__, "repro.")]
+    modules = {}
+    for name in sorted(names):
+        exported = getattr(importlib.import_module(name), "__all__", None)
+        if exported is not None:
+            modules[name] = sorted(exported)
+    return modules
+
+
+def load_surface() -> dict[str, list[str]]:
+    with open(SURFACE) as handle:
+        return json.load(handle)["modules"]
+
+
+def surface_diff(old: dict[str, list[str]],
+                 new: dict[str, list[str]]) -> list[str]:
+    """One ``added: module.name`` / ``removed: module.name`` line per
+    export that differs between two surfaces."""
+    lines = []
+    for module in sorted(set(old) | set(new)):
+        before, after = set(old.get(module, ())), set(new.get(module, ()))
+        lines += [f"removed: {module}.{name}"
+                  for name in sorted(before - after)]
+        lines += [f"added: {module}.{name}"
+                  for name in sorted(after - before)]
+    return lines

@@ -1,10 +1,11 @@
-"""Rewrite ``tests/pins/manifest.json`` from the current source.
+"""Rewrite ``tests/pins/manifest.json`` and ``surface.json`` from the
+current source.
 
 Run from the repository root::
 
     python tests/pins/regen.py
 
-This is the only writer of the manifest; the tier-1 test only reads it.
+This is the only writer of both files; the tier-1 tests only read them.
 A change that moves a pin regenerates the manifest and lists every moved
 entry, and why it moved, in CHANGES.md (the script prints them).  Run it
 on Python >= 3.11: older interpreters cannot compute the TOML config
@@ -45,6 +46,15 @@ def main() -> int:
         json.dump({"pins": dict(sorted(pins.items()))}, handle, indent=1)
         handle.write("\n")
     print(f"wrote {len(pins)} pins to {os.path.relpath(pinning.MANIFEST)}")
+    modules = pinning.surface()
+    old = pinning.load_surface() if os.path.exists(pinning.SURFACE) else {}
+    for line in pinning.surface_diff(old, modules):
+        print(line)
+    with open(pinning.SURFACE, "w") as handle:
+        json.dump({"modules": modules}, handle, indent=1)
+        handle.write("\n")
+    print(f"wrote {sum(map(len, modules.values()))} exports of "
+          f"{len(modules)} modules to {os.path.relpath(pinning.SURFACE)}")
     return 0
 
 

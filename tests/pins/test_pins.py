@@ -1,6 +1,8 @@
-"""Cross-commit behaviour pins: recompute every digest and compare.
+"""Cross-commit behaviour pins: recompute every digest and the public
+surface, and compare.
 
-A failure names every entry that moved.  If the move is intended,
+A failure names every entry that moved (or export that was added or
+removed).  If the move is intended,
 regenerate with ``python tests/pins/regen.py`` and list each moved entry
 and its reason in CHANGES.md; otherwise the change broke behaviour that
 no other test sees (both backends moving together, a re-keyed cache).
@@ -40,3 +42,10 @@ def test_manifest_covers_every_entry_kind():
                    "config/digits_ladder.toml/stage/constrain",
                    "config/digits_explore.toml/digest"):
         assert any(name.startswith(prefix) for name in names), prefix
+
+
+def test_public_surface_unchanged():
+    changed = pinning.surface_diff(pinning.load_surface(),
+                                   pinning.surface())
+    assert not changed, (f"{len(changed)} export(s) changed:\n  "
+                         + "\n  ".join(changed))
