@@ -63,7 +63,8 @@ Subpackages
     Domain-aware static analysis (``repro lint``): AST rules that
     enforce the invariants above — seeded randomness, cache-key
     completeness, backend parity, exact-integer kernels, journal
-    purity, metric hygiene (rules RPR001–RPR006, docs/invariants.md).
+    purity, metric hygiene, layering (rules RPR001–RPR007,
+    docs/invariants.md).
 ``repro.utils``
     Shared utilities (JSON serialization of result objects).
 """

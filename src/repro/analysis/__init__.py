@@ -6,10 +6,10 @@ from repro.analysis.quartets import (
     select_alphabets,
     weighted_coverage,
 )
-from repro.analysis.sensitivity import LayerSensitivity, layer_sensitivity
+from repro.analysis.sensitivity import layer_sensitivity
 
 __all__ = [
     "QuartetUsage", "quartet_usage", "select_alphabets",
     "weighted_coverage",
-    "LayerSensitivity", "layer_sensitivity",
+    "layer_sensitivity",
 ]

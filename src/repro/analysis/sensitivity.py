@@ -19,7 +19,7 @@ from repro.nn.network import Sequential
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.training.constrained import weight_param_name
 
-__all__ = ["LayerSensitivity", "layer_sensitivity"]
+__all__ = ["layer_sensitivity"]
 
 
 @dataclass(frozen=True)

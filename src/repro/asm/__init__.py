@@ -20,7 +20,6 @@ from repro.asm.alphabet import (
     standard_set,
 )
 from repro.asm.constraints import (
-    ConstraintStats,
     WeightConstrainer,
     constrain_magnitude_greedy,
     constraint_stats,
@@ -51,7 +50,6 @@ __all__ = [
     "STANDARD_SETS",
     "AlphabetSet",
     "standard_set",
-    "ConstraintStats",
     "WeightConstrainer",
     "constrain_magnitude_greedy",
     "constraint_stats",

@@ -38,7 +38,6 @@ __all__ = [
     "representable_magnitudes",
     "nearest_representable_magnitude",
     "WeightConstrainer",
-    "ConstraintStats",
     "constraint_stats",
 ]
 

@@ -46,7 +46,7 @@ from repro.fixedpoint.binary import signed_range
 from repro.fixedpoint.quartet import QuartetLayout
 
 __all__ = ["Multiplier", "CONVENTIONAL", "ConventionalMultiplier",
-           "AlphabetSetMultiplier", "FALLBACK_POLICIES", "UNSUPPORTED_WEIGHT",
+           "AlphabetSetMultiplier", "FALLBACK_POLICIES",
            "effective_weight_table"]
 
 FALLBACK_POLICIES = ("error", "nearest", "truncate")

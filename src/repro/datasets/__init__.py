@@ -10,7 +10,6 @@ from repro.datasets.digits import synthetic_mnist
 from repro.datasets.faces import synthetic_faces
 from repro.datasets.registry import (
     BENCHMARKS,
-    BenchmarkSpec,
     build_model,
     lenet,
     load_dataset,
@@ -25,13 +24,13 @@ from repro.datasets.strokefont import (
     render_strokes,
 )
 from repro.datasets.svhn import synthetic_svhn
-from repro.datasets.tich import TICH_CLASSES, synthetic_tich
+from repro.datasets.tich import synthetic_tich
 
 __all__ = [
     "Dataset", "one_hot",
     "synthetic_mnist", "synthetic_faces", "synthetic_svhn",
-    "synthetic_tich", "TICH_CLASSES",
-    "BENCHMARKS", "BenchmarkSpec", "build_model", "load_dataset",
+    "synthetic_tich",
+    "BENCHMARKS", "build_model", "load_dataset",
     "mlp", "lenet",
     "GLYPHS", "glyph_strokes", "jitter_transform", "render_glyph",
     "render_strokes", "render_batch",

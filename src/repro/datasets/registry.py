@@ -23,7 +23,7 @@ from repro.datasets.tich import synthetic_tich
 from repro.nn.layers import Conv2D, Dense, Flatten, ScaledAvgPool2D
 from repro.nn.network import Sequential
 
-__all__ = ["BenchmarkSpec", "BENCHMARKS", "build_model", "load_dataset",
+__all__ = ["BENCHMARKS", "build_model", "load_dataset",
            "training_arrays", "mlp", "lenet"]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from repro.datasets.base import Dataset, balanced_labels
 from repro.datasets.strokefont import RENDER_CHUNK, draw_glyph, render_batch
 
-__all__ = ["synthetic_tich", "TICH_CLASSES"]
+__all__ = ["synthetic_tich"]
 
 TICH_CLASSES = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 

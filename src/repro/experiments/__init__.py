@@ -37,11 +37,10 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.report import PipelineReport
 from repro.utils.serialization import write_json
 
-__all__ = ["ACCURACY_APPS", "FIGURE9_GROUPS", "FIGURE11_APPS",
-           "FIGURE11_DEPLOYMENTS", "Experiment", "EXPERIMENTS",
-           "experiment_configs", "execute", "format_accuracy_table",
-           "format_energy_table", "format_figure11_table",
-           "format_export_table"]
+__all__ = ["ACCURACY_APPS", "FIGURE9_GROUPS", "FIGURE11_DEPLOYMENTS",
+           "EXPERIMENTS", "experiment_configs", "execute",
+           "format_accuracy_table", "format_energy_table",
+           "format_figure11_table"]
 
 #: Benchmarks appearing in Fig. 7 (all five applications).
 ACCURACY_APPS = ("mnist_mlp", "mnist_cnn", "face", "svhn", "tich")

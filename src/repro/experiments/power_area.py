@@ -16,8 +16,8 @@ from repro.hardware.neuron import NeuronConfig, make_neuron
 from repro.hardware.report import format_table
 from repro.hardware.technology import IBM45, TechnologyModel
 
-__all__ = ["HardwareRow", "run_figure8", "run_figure10",
-           "run_hardware_grid", "format_hardware_table", "PAPER_VALUES"]
+__all__ = ["run_figure8", "run_figure10", "run_hardware_grid",
+           "format_hardware_table", "PAPER_VALUES"]
 
 #: Paper-reported normalised values (approximate, read off Figs. 8/10 and
 #: the text of §VI.B/§VI.C/§VI.D).  ``None`` where the paper gives no number.

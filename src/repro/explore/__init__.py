@@ -38,7 +38,6 @@ from repro.explore.deploy import register_frontier
 from repro.explore.executor import (
     CandidateTimeout,
     evaluate_candidate,
-    metrics_from_report,
     run_candidates,
 )
 from repro.explore.journal import (
@@ -56,28 +55,17 @@ from repro.explore.pareto import (
     resolve_objectives,
 )
 from repro.explore.report import ExplorationReport, format_exploration_report
-from repro.explore.space import (
-    EVAL_STAGES,
-    STRATEGIES,
-    SearchSpace,
-    SearchSpaceError,
-)
-from repro.explore.strategies import (
-    grid_candidates,
-    random_candidates,
-    run_exploration,
-    sensitivity_order,
-)
+from repro.explore.space import SearchSpace, SearchSpaceError
+from repro.explore.strategies import random_candidates, run_exploration
 
 __all__ = [
-    "SearchSpace", "SearchSpaceError", "EVAL_STAGES", "STRATEGIES",
+    "SearchSpace", "SearchSpaceError",
     "Objective", "OBJECTIVES", "dominates", "pareto_frontier",
     "resolve_objectives",
     "ExplorationJournal", "JournalError", "load_space", "list_journals",
     "FAILED_STATUS", "CandidateTimeout",
-    "evaluate_candidate", "metrics_from_report", "run_candidates",
+    "evaluate_candidate", "run_candidates",
     "ExplorationReport", "format_exploration_report",
-    "grid_candidates", "random_candidates", "sensitivity_order",
-    "run_exploration",
+    "random_candidates", "run_exploration",
     "register_frontier",
 ]

@@ -34,9 +34,8 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.report import PipelineReport
 
-__all__ = ["RECORD_FORMAT", "CandidateTimeout", "metrics_from_report",
-           "evaluate_candidate", "run_candidates", "pool_map",
-           "run_pipeline_jobs"]
+__all__ = ["RECORD_FORMAT", "CandidateTimeout", "evaluate_candidate",
+           "run_candidates", "pool_map", "run_pipeline_jobs"]
 
 #: Metric keys every candidate record carries (the Pareto axes).
 METRIC_KEYS = ("accuracy", "accuracy_loss", "energy_nj",

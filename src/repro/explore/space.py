@@ -32,8 +32,7 @@ from repro.pipeline.config import (
     parse_design,
 )
 
-__all__ = ["SearchSpaceError", "SearchSpace", "EVAL_STAGES",
-           "STRATEGIES"]
+__all__ = ["SearchSpaceError", "SearchSpace"]
 
 #: The stage plan every candidate runs: enough for the full metric set
 #: (accuracy + loss from evaluate/quantize, energy/area/delay from energy).

@@ -32,8 +32,7 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.stages import PipelineContext
 
-__all__ = ["grid_candidates", "random_candidates", "sensitivity_order",
-           "run_exploration"]
+__all__ = ["random_candidates", "run_exploration"]
 
 
 def grid_candidates(space: SearchSpace,

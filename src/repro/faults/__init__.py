@@ -18,8 +18,7 @@ See ``docs/robustness.md`` for the methodology.
 """
 
 from repro.faults.chaos import ChaosConfig, ChaosCrash, ChaosIOFault
-from repro.faults.inject import FaultSession, fault_network, \
-    fault_session, faulted_accuracy
+from repro.faults.inject import fault_network, fault_session, faulted_accuracy
 from repro.faults.models import ACTIVATION_FAULT_KINDS, FAULT_KINDS, \
     FaultModelError, FaultSpec, WEIGHT_FAULT_KINDS
 from repro.faults.resiliency import ResiliencyPoint, ResiliencyReport, \
@@ -27,7 +26,7 @@ from repro.faults.resiliency import ResiliencyPoint, ResiliencyReport, \
 
 __all__ = [
     "FAULT_KINDS", "WEIGHT_FAULT_KINDS", "ACTIVATION_FAULT_KINDS",
-    "FaultModelError", "FaultSpec", "FaultSession",
+    "FaultModelError", "FaultSpec",
     "fault_network", "fault_session", "faulted_accuracy",
     "ChaosConfig", "ChaosCrash", "ChaosIOFault",
     "ResiliencyPoint", "ResiliencyReport", "format_resiliency_report",

@@ -34,7 +34,7 @@ from repro.kernels import DEFAULT_EVAL_BATCH
 from repro.nn import quantized as _quantized
 from repro.nn.quantized import QuantizedNetwork
 
-__all__ = ["FaultSession", "fault_network", "fault_session",
+__all__ = ["fault_network", "fault_session",
            "faulted_accuracy"]
 
 

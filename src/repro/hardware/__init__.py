@@ -13,7 +13,6 @@ from repro.hardware.components import (
     CarrySkipAdder,
     Component,
     Composite,
-    CostBreakdown,
     ControlLogic,
     GateBank,
     KoggeStoneAdder,
@@ -24,8 +23,6 @@ from repro.hardware.components import (
     best_adder,
 )
 from repro.hardware.engine import (
-    EngineReport,
-    LayerEnergy,
     LayerWork,
     NetworkTopology,
     ProcessingEngine,
@@ -35,8 +32,6 @@ from repro.hardware.neuron import (
     ASMNeuron,
     ConventionalNeuron,
     NeuronConfig,
-    NeuronCost,
-    NeuronDesign,
     Stage,
     clock_for_bits,
     make_neuron,
@@ -46,7 +41,6 @@ from repro.hardware.report import format_table, normalized_series
 from repro.hardware.simulator import (
     CycleAccurateEngine,
     LayerTrace,
-    ToggleCounts,
 )
 from repro.hardware.technology import (
     IBM45,
@@ -57,16 +51,15 @@ from repro.hardware.technology import (
 
 __all__ = [
     "ActivationLUT", "ArrayMultiplier", "BarrelShifter", "CarrySkipAdder",
-    "Component", "Composite", "CostBreakdown", "ControlLogic", "GateBank",
+    "Component", "Composite", "ControlLogic", "GateBank",
     "KoggeStoneAdder", "MuxTree", "Register", "RippleCarryAdder", "WireBus",
     "best_adder",
-    "EngineReport", "LayerEnergy", "LayerWork", "NetworkTopology",
-    "ProcessingEngine",
+    "LayerWork", "NetworkTopology", "ProcessingEngine",
     "CLOCK_GHZ", "clock_for_bits", "ASMNeuron", "ConventionalNeuron",
     "NeuronConfig",
-    "NeuronCost", "NeuronDesign", "Stage", "make_neuron",
+    "Stage", "make_neuron",
     "PrecomputeBank", "csd_adder_count", "csd_digits",
     "format_table", "normalized_series",
-    "CycleAccurateEngine", "LayerTrace", "ToggleCounts",
+    "CycleAccurateEngine", "LayerTrace",
     "IBM45", "GateSpec", "TechnologyModel", "scaled_technology",
 ]

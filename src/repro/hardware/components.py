@@ -14,13 +14,12 @@ rarely (activity < 1).  Delay is *not* scaled by activity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fixedpoint.binary import clog2
 from repro.hardware.technology import TechnologyModel
 
 __all__ = [
-    "CostBreakdown",
     "Component",
     "GateBank",
     "Composite",

@@ -21,8 +21,7 @@ from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.hardware.neuron import NeuronConfig, clock_for_bits, make_neuron
 from repro.hardware.technology import IBM45, TechnologyModel
 
-__all__ = ["LayerWork", "NetworkTopology", "ProcessingEngine",
-           "EngineReport", "LayerEnergy"]
+__all__ = ["LayerWork", "NetworkTopology", "ProcessingEngine"]
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,40 @@ class NetworkTopology:
             layers.append(LayerWork(f"fc{index + 1}", size, fan_in))
             fan_in = size
         return cls(name, tuple(layers))
+
+    @classmethod
+    def of(cls, name: str, layers,
+           input_spatial: tuple[int, int] | None) -> "NetworkTopology":
+        """The compute demand of a float or quantised layer stack, read
+        from each layer's ``kind`` tag and shape attributes (conv and pool
+        layers need the network input's *input_spatial* ``(h, w)``)."""
+        works = []
+        spatial = input_spatial
+        for index, layer in enumerate(layers):
+            label = layer.name or f"{layer.kind}{index}"
+            if layer.kind == "dense":
+                works.append(LayerWork(label, layer.out_features,
+                                       layer.in_features))
+                continue
+            if layer.kind not in ("conv", "pool"):
+                continue
+            if spatial is None:
+                raise ValueError(f"{label}: no input_spatial=(h, w) to "
+                                 f"derive the {layer.kind} topology")
+            if layer.kind == "conv":
+                spatial = (spatial[0] - layer.kernel + 1,
+                           spatial[1] - layer.kernel + 1)
+                neurons = layer.out_channels
+                fan_in = layer.in_channels * layer.kernel * layer.kernel
+            else:
+                spatial = (spatial[0] // layer.size,
+                           spatial[1] // layer.size)
+                # one gain multiply per output (the averaging adds are
+                # folded into that MAC slot)
+                neurons, fan_in = layer.channels, 1
+            works.append(LayerWork(label, neurons * spatial[0] * spatial[1],
+                                   fan_in))
+        return cls(name, tuple(works))
 
 
 @dataclass(frozen=True)

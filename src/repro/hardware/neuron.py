@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.asm.alphabet import ALPHA_1, AlphabetSet
+from repro.asm.alphabet import AlphabetSet
 from repro.asm.multiplier import CONVENTIONAL, Multiplier
-from repro.fixedpoint.binary import clog2
 from repro.fixedpoint.quartet import QuartetLayout
 from repro.hardware.components import (
     ActivationLUT,
@@ -46,9 +45,7 @@ from repro.hardware.technology import IBM45, TechnologyModel
 
 __all__ = [
     "NeuronConfig",
-    "NeuronCost",
     "Stage",
-    "NeuronDesign",
     "ConventionalNeuron",
     "ASMNeuron",
     "make_neuron",

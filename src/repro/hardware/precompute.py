@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.asm.alphabet import AlphabetSet
 from repro.fixedpoint.binary import clog2
 from repro.hardware.components import (
-    Component,
     Composite,
     Register,
     WireBus,

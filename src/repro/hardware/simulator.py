@@ -41,7 +41,7 @@ from repro.kernels import get_backend
 from repro.kernels.registry import KernelBackend
 from repro.hardware.technology import IBM45, TechnologyModel
 
-__all__ = ["ToggleCounts", "LayerTrace", "CycleAccurateEngine"]
+__all__ = ["LayerTrace", "CycleAccurateEngine"]
 
 
 @dataclass(frozen=True)

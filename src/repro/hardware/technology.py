@@ -14,7 +14,7 @@ reports, which is all we claim to reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 

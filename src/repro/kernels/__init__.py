@@ -19,7 +19,8 @@ explorer plumb a ``backend`` config field through every evaluate stage.
 construction (see ``docs/backends.md`` and ``tests/test_kernels.py``).
 
 Layering: this package depends only on numpy and ``repro.fixedpoint``
-(conv helpers are imported lazily), so ``repro.nn`` can import it freely.
+(it owns the im2col / col2im helpers in :mod:`repro.kernels.conv_utils`),
+so ``repro.nn`` can import it freely.
 """
 
 from repro.kernels.evaluate import DEFAULT_EVAL_BATCH, batched_accuracy
@@ -37,12 +38,12 @@ from repro.kernels import fast as _fast            # noqa: E402,F401
 from repro.kernels.fast import blas_exact, quantize_codes_f64
 from repro.kernels.projection import quantize_constrain
 from repro.kernels.reference import requantize
-from repro.kernels.simulate import SimCounts, TOGGLE_KEYS
+from repro.kernels.simulate import SimCounts
 
 __all__ = [
     "BACKEND_NAMES", "KernelBackend", "KernelBackendError",
     "get_backend", "register_backend",
     "DEFAULT_EVAL_BATCH", "batched_accuracy",
     "blas_exact", "quantize_codes_f64", "requantize",
-    "SimCounts", "TOGGLE_KEYS", "quantize_constrain",
+    "SimCounts", "quantize_constrain",
 ]

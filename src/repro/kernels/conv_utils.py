@@ -1,4 +1,4 @@
-"""im2col / col2im helpers for the convolution layers.
+"""im2col / col2im helpers for the convolution layers and kernels.
 
 Valid (no padding), stride-1 convolutions are all LeNet needs; keeping the
 helpers specialised makes them simple enough to verify by hand in the tests.

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.fixedpoint.binary import signed_range
 from repro.kernels import reference
+from repro.kernels.conv_utils import conv_output_size, im2col
 from repro.kernels.projection import project_fast
 from repro.kernels.registry import KernelBackend, register_backend
 from repro.kernels.simulate import simulate_layer_fast
@@ -38,8 +39,7 @@ from repro.kernels.training import (
     train_forward_fast,
 )
 
-__all__ = ["blas_exact", "quantize_codes_f64", "requantize_codes",
-           "FastBackend"]
+__all__ = ["blas_exact", "quantize_codes_f64", "FastBackend"]
 
 #: Largest integer magnitude float64 represents exactly.
 EXACT_FLOAT64 = 2 ** 53
@@ -156,8 +156,6 @@ class FastBackend(KernelBackend):
                                 layer.lut), layer.act_fmt
 
     def conv(self, layer, x, x_fmt):
-        from repro.nn.conv_utils import conv_output_size, im2col
-
         kernels_t = _conv_plan(layer)
         if kernels_t is None:
             return reference.conv_forward(layer, x, x_fmt)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.conv_utils import conv_output_size, im2col
 from repro.kernels.projection import project_reference
 from repro.kernels.registry import KernelBackend, register_backend
 from repro.kernels.simulate import simulate_layer_reference
@@ -74,10 +75,6 @@ def dense_forward(layer, x, x_fmt):
 
 def conv_forward(layer, x, x_fmt):
     """Valid conv via im2col: exact integer GEMM per output patch."""
-    # imported lazily: repro.kernels must not depend on repro.nn at
-    # module level (repro.nn.quantized imports this package)
-    from repro.nn.conv_utils import conv_output_size, im2col
-
     x = _as_int_codes(x)
     batch, _, height, width = x.shape
     out_h = conv_output_size(height, layer.kernel)

@@ -41,8 +41,8 @@ import numpy as np
 
 from repro.fixedpoint.binary import popcount_array
 
-__all__ = ["ACC_BITS", "TOGGLE_KEYS", "SimCounts",
-           "simulate_layer_reference", "simulate_layer_fast"]
+__all__ = ["ACC_BITS", "SimCounts", "simulate_layer_reference",
+           "simulate_layer_fast"]
 
 #: Mask width so two's-complement values compare on a fixed word width
 #: (the accumulator register width of the modelled engine).

@@ -43,9 +43,15 @@ inference, simulation and projection kernels already have:
     * ``v = m*v - r*g; p = p + v`` becomes ``v *= m; v -= r*g; p += v``
       — the same multiply / multiply / subtract / add per element.
 
-    Layer types or activations outside the planned set fall back to the
-    layer's own ``forward``/``backward`` per layer, so the backend is
-    bit-identical to ``reference`` unconditionally.
+    Plans dispatch on the tag an object's *own* class declares,
+    ``vars(type(obj)).get(tag)``: a layer's ``kind`` (``"dense"``,
+    ``"conv"`` or ``"pool"``) and an activation's ``name``.  The fusion
+    identities are proven for the built-in classes, so a subclass that
+    does not redeclare the tag (it may override ``forward``), and every
+    other layer type or activation, falls back to the layer's own
+    ``forward``/``backward`` per layer: the backend is bit-identical to
+    ``reference`` unconditionally, and this package never imports
+    :mod:`repro.nn`.
 
 Input-gradient contract
     ``train_backward(network, grad, input_grad=True)`` returns the
@@ -75,6 +81,8 @@ The bit-identity claim is enforced by ``tests/test_train_backends.py``
 from __future__ import annotations
 
 import numpy as np
+
+from repro.kernels.conv_utils import conv_output_size
 
 __all__ = [
     "train_forward_reference", "train_backward_reference",
@@ -140,34 +148,14 @@ def _train_cache(layer) -> dict:
     return cache
 
 
-def _nn():
-    """Lazy :mod:`repro.nn` namespace (keeps kernel imports acyclic)."""
-    from repro.nn import activations, layers
-    return activations, layers
-
-
-# Concrete activation classes, resolved once on first use (the lazy
-# import keeps kernel imports acyclic; per-call imports would dominate
-# small-batch steps).  The derivative-from-output fusion identities are
-# proven for these exact classes only; a subclass overriding ``forward``
-# would silently break them, so checks are on the concrete type.
-_IDENTITY = _SIGMOID = _TANH = _RELU = None
-
-
-def _resolve_activations() -> None:
-    global _IDENTITY, _SIGMOID, _TANH, _RELU
-    activations, _ = _nn()
-    _IDENTITY = activations.Identity
-    _SIGMOID = activations.Sigmoid
-    _TANH = activations.Tanh
-    _RELU = activations.ReLU
+#: Activation names whose derivative-from-output fusion is proven; the
+#: name is read from the activation's own class (module docstring).
+_FUSED = frozenset({"identity", "sigmoid", "tanh", "relu"})
 
 
 def _fused_activation(activation) -> bool:
     """True when the derivative can be fused from the cached output."""
-    if _IDENTITY is None:
-        _resolve_activations()
-    return type(activation) in (_IDENTITY, _SIGMOID, _TANH, _RELU)
+    return vars(type(activation)).get("name") in _FUSED
 
 
 def _activation_forward(activation, z: np.ndarray, out: np.ndarray,
@@ -175,12 +163,12 @@ def _activation_forward(activation, z: np.ndarray, out: np.ndarray,
     """``activation.forward(z)`` written into *out* (or ``z`` itself for
     the identity, matching the reference's pass-through); *scratch* is
     a buffer of ``z``'s shape the sigmoid may overwrite."""
-    kind = type(activation)
-    if kind is _IDENTITY:
+    name = vars(type(activation)).get("name")
+    if name == "identity":
         return z
-    if kind is _TANH:
+    if name == "tanh":
         return np.tanh(z, out=out)
-    if kind is _RELU:
+    if name == "relu":
         return np.maximum(z, 0.0, out=out)
     # Sigmoid.forward's two branches, branch-free (module docstring):
     # 1/(1+e) where z >= 0 and e/(1+e) elsewhere, e = exp(-|z|)
@@ -200,12 +188,12 @@ def _activation_backward(activation, a: np.ndarray, grad_out: np.ndarray,
     derivative-from-output identities below reproduce the reference
     values exactly (IEEE-754 multiplication is commutative).
     """
-    kind = type(activation)
-    if kind is _IDENTITY:
+    name = vars(type(activation)).get("name")
+    if name == "identity":
         return np.multiply(grad_out, 1.0, out=out)
-    if kind is _RELU:
+    if name == "relu":
         return np.multiply(grad_out, a > 0, out=out)
-    if kind is _TANH:
+    if name == "tanh":
         np.multiply(a, a, out=out)
         np.subtract(1.0, out, out=out)
         out *= grad_out
@@ -256,8 +244,6 @@ class _ConvPlan:
     """Preallocated buffers + gather plan for one (Conv2D, input shape)."""
 
     def __init__(self, layer, x_shape: tuple[int, ...]) -> None:
-        from repro.nn.conv_utils import conv_output_size
-
         batch, channels, height, width = x_shape
         k = layer.kernel
         out_h = conv_output_size(height, k)
@@ -413,19 +399,18 @@ def _build_plan(layer, x: np.ndarray):
     the layer's own ``forward``/``backward`` (bit-identical by
     definition, merely unaccelerated).
     """
-    _, layers = _nn()
-    kind = type(layer)
-    if kind not in (layers.Dense, layers.Conv2D, layers.ScaledAvgPool2D):
+    kind = vars(type(layer)).get("kind")
+    if kind not in ("dense", "conv", "pool"):
         return _FALLBACK
     if x.dtype != np.float64 or not _fused_activation(layer.activation):
         return _FALLBACK
     if any(p.dtype != np.float64 for p in layer.params.values()):
         return _FALLBACK
-    if kind is layers.Dense:
+    if kind == "dense":
         if x.ndim != 2 or x.shape[1] != layer.in_features:
             return _FALLBACK
         return _DensePlan(layer, x.shape[0])
-    if kind is layers.Conv2D:
+    if kind == "conv":
         if x.ndim != 4 or x.shape[1] != layer.in_channels \
                 or x.shape[2] < layer.kernel or x.shape[3] < layer.kernel:
             return _FALLBACK

@@ -5,8 +5,9 @@ reproduction's claims rest on*: seeded randomness everywhere results
 flow (RPR001), cache keys that see every config field (RPR002), kernel
 backends that stay complete and tested (RPR003), exact-integer
 reference kernels free of float contamination (RPR004), journal records
-that stay bit-identical across process boundaries (RPR005), and a
-metric/span vocabulary that stays static and consistent (RPR006).
+that stay bit-identical across process boundaries (RPR005), a
+metric/span vocabulary that stays static and consistent (RPR006), and
+a package graph whose imports all point down one order (RPR007).
 Each rule's rationale lives in ``docs/invariants.md``.
 
 Usage::
@@ -24,10 +25,7 @@ lives in ``[tool.repro.lint]`` in ``pyproject.toml``.
 
 from repro.lint.config import LintConfig, LintConfigError
 from repro.lint.engine import (
-    LintContext,
-    LintResult,
     Linter,
-    ModuleInfo,
     lint_paths,
 )
 from repro.lint.findings import SEVERITIES, Finding
@@ -44,11 +42,8 @@ __all__ = [
     "Finding",
     "LintConfig",
     "LintConfigError",
-    "LintContext",
-    "LintResult",
     "Linter",
     "META_RULE_ID",
-    "ModuleInfo",
     "Rule",
     "all_rules",
     "known_rule_ids",

@@ -29,8 +29,7 @@ from repro.lint.config import LintConfig, LintConfigError
 from repro.lint.findings import Finding
 from repro.lint.rules import META_RULE_ID, all_rules, known_rule_ids
 
-__all__ = ["ModuleInfo", "LintContext", "LintResult", "Linter",
-           "lint_paths"]
+__all__ = ["Linter", "lint_paths"]
 
 #: the suppression marker, with or without a bracketed rule-id list
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([^\]]*)\])?")

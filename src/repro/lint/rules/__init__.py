@@ -91,6 +91,7 @@ def _load_builtin_rules() -> None:
         determinism,
         floatcontam,
         journalpurity,
+        layering,
         metric_hygiene,
         parity,
     )

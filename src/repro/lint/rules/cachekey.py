@@ -35,8 +35,6 @@ from repro.lint.astutil import (
 )
 from repro.lint.rules import Rule, register_rule
 
-__all__ = ["CacheKeyRule"]
-
 
 def _is_config_dataclass(node: ast.ClassDef, class_name: str) -> bool:
     if "dataclass" not in decorator_names(node):

@@ -33,8 +33,6 @@ import ast
 from repro.lint.astutil import match_path
 from repro.lint.rules import Rule, register_rule
 
-__all__ = ["DeterminismRule"]
-
 #: Constructors that are fine seeded but flagged bare.
 _UNSEEDED = {
     "numpy.random.default_rng",

@@ -26,8 +26,6 @@ import ast
 from repro.lint.astutil import match_path
 from repro.lint.rules import Rule, register_rule
 
-__all__ = ["FloatContaminationRule"]
-
 _FLOAT_DTYPES = {
     "numpy." + name for name in (
         "float16", "float32", "float64", "float128", "half", "single",

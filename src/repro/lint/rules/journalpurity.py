@@ -24,8 +24,6 @@ import ast
 from repro.lint.astutil import match_path
 from repro.lint.rules import Rule, register_rule
 
-__all__ = ["JournalPurityRule"]
-
 _IMPURE = {
     "time.time", "time.time_ns",
     "os.getpid", "os.getppid", "os.uname",

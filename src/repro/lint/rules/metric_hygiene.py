@@ -28,8 +28,6 @@ import re
 from repro.lint.astutil import match_path
 from repro.lint.rules import Rule, register_rule
 
-__all__ = ["MetricHygieneRule"]
-
 _METRIC_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.:]*$")
 _LABEL_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 

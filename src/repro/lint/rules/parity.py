@@ -27,8 +27,6 @@ import os
 from repro.lint.astutil import dotted_parts, iter_class_methods, match_path
 from repro.lint.rules import Rule, register_rule
 
-__all__ = ["BackendParityRule"]
-
 
 def _is_abstract(fn: ast.FunctionDef) -> bool:
     """Body is (docstring +) ``raise NotImplementedError``."""

@@ -10,7 +10,6 @@ from repro.nn.activations import (
     get_activation,
     softmax,
 )
-from repro.nn.conv_utils import col2im, conv_output_size, im2col
 from repro.nn.layers import Conv2D, Dense, Flatten, Layer, ScaledAvgPool2D
 from repro.nn.losses import CrossEntropyLoss, Loss, MSELoss, get_loss
 from repro.nn.network import Sequential
@@ -21,7 +20,6 @@ from repro.nn.trainer import Trainer, TrainHistory
 __all__ = [
     "Activation", "Identity", "ReLU", "Sigmoid", "SigmoidLUT", "Tanh",
     "get_activation", "softmax",
-    "col2im", "conv_output_size", "im2col",
     "Conv2D", "Dense", "Flatten", "Layer", "ScaledAvgPool2D",
     "CrossEntropyLoss", "Loss", "MSELoss", "get_loss",
     "Sequential",

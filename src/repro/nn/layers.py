@@ -19,14 +19,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.conv_utils import col2im, conv_output_size, im2col
 from repro.nn.activations import Activation, get_activation
-from repro.nn.conv_utils import col2im, conv_output_size, im2col
 
 __all__ = ["Layer", "Dense", "Conv2D", "ScaledAvgPool2D", "Flatten"]
 
 
 class Layer:
     """Base class for all layers."""
+
+    #: Layer tag shared with the quantised stack; the training plans, the
+    #: quantiser and :meth:`~repro.hardware.engine.NetworkTopology.of`
+    #: dispatch on it.
+    kind = "base"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -77,6 +82,8 @@ class Dense(Layer):
     era of the paper's baselines.
     """
 
+    kind = "dense"
+
     def __init__(self, in_features: int, out_features: int,
                  activation: str | Activation = "sigmoid",
                  rng: np.random.Generator | None = None,
@@ -123,6 +130,8 @@ class Conv2D(Layer):
     partial connectivity.  (Table IV's LeNet uses full connectivity, but the
     table is supported for the classic variant and tested.)
     """
+
+    kind = "conv"
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  activation: str | Activation = "tanh",
@@ -203,6 +212,8 @@ class ScaledAvgPool2D(Layer):
     exactly how tiny-cnn counts LeNet's S2/S4 layers.
     """
 
+    kind = "pool"
+
     def __init__(self, channels: int, size: int = 2,
                  activation: str | Activation = "tanh",
                  name: str | None = None) -> None:
@@ -251,6 +262,8 @@ class ScaledAvgPool2D(Layer):
 
 class Flatten(Layer):
     """Reshape ``(batch, ...)`` to ``(batch, features)``."""
+
+    kind = "flatten"
 
     def __init__(self, name: str | None = None) -> None:
         super().__init__(name or "flatten")

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware.engine import LayerWork, NetworkTopology
+from repro.hardware.engine import NetworkTopology
 from repro.kernels.evaluate import DEFAULT_EVAL_BATCH, batched_accuracy
 from repro.kernels.registry import KernelBackend, get_backend
-from repro.nn.layers import Conv2D, Dense, Flatten, Layer, ScaledAvgPool2D
+from repro.nn.layers import Layer
 
 __all__ = ["Sequential"]
 
@@ -130,44 +130,7 @@ class Sequential:
     def topology(self) -> NetworkTopology:
         """Export compute demand for
         :class:`repro.hardware.engine.ProcessingEngine`."""
-        works: list[LayerWork] = []
-        spatial = self.input_spatial
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                works.append(LayerWork(layer.name, layer.out_features,
-                                       layer.in_features))
-            elif isinstance(layer, Conv2D):
-                if spatial is None:
-                    raise ValueError(
-                        f"{layer.name}: construct the network with "
-                        f"input_spatial=(h, w) to export a conv topology"
-                    )
-                out_h = spatial[0] - layer.kernel + 1
-                out_w = spatial[1] - layer.kernel + 1
-                works.append(LayerWork(
-                    layer.name,
-                    layer.out_channels * out_h * out_w,
-                    layer.in_channels * layer.kernel * layer.kernel,
-                ))
-                spatial = (out_h, out_w)
-            elif isinstance(layer, ScaledAvgPool2D):
-                if spatial is None:
-                    raise ValueError(
-                        f"{layer.name}: construct the network with "
-                        f"input_spatial=(h, w) to export a pool topology"
-                    )
-                out_h = spatial[0] // layer.size
-                out_w = spatial[1] // layer.size
-                # one gain multiply per output (the averaging adds are
-                # folded into that MAC slot)
-                works.append(LayerWork(
-                    layer.name, layer.channels * out_h * out_w, 1))
-                spatial = (out_h, out_w)
-            elif isinstance(layer, Flatten):
-                continue
-        if not works:
-            raise ValueError("network has no compute layers")
-        return NetworkTopology(self.name, tuple(works))
+        return NetworkTopology.of(self.name, self.layers, self.input_spatial)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         inner = ", ".join(layer.name for layer in self.layers)

@@ -37,7 +37,7 @@ from repro.fixedpoint.qformat import QFormat, qformat_for_range
 from repro.kernels import DEFAULT_EVAL_BATCH, batched_accuracy, get_backend
 from repro.kernels.registry import KernelBackend
 from repro.nn.activations import Activation, SigmoidLUT
-from repro.nn.layers import Conv2D, Dense, Flatten, ScaledAvgPool2D
+from repro.nn.layers import Conv2D, Dense, ScaledAvgPool2D
 from repro.nn.network import Sequential
 
 __all__ = ["QuantizedNetwork", "QuantizationSpec"]
@@ -156,6 +156,7 @@ class _QuantDense(_QuantLayer):
                  lut: SigmoidLUT | None, is_output: bool = False,
                  name: str | None = None) -> None:
         self.w_int = np.ascontiguousarray(w_int, dtype=np.int64)
+        self.in_features, self.out_features = self.w_int.shape
         self.w_fmt = w_fmt
         self.bias = np.asarray(bias, dtype=np.float64)
         self.activation = activation
@@ -186,7 +187,7 @@ class _QuantConv(_QuantLayer):
         self.w_fmt = w_fmt
         self.bias = np.asarray(bias, dtype=np.float64)
         self.kernel = kernel
-        self.out_channels = self.w_int.shape[0]
+        self.out_channels, self.in_channels = self.w_int.shape[:2]
         self.activation = activation
         self.act_fmt = act_fmt
         self.lut = lut
@@ -245,6 +246,10 @@ class _QuantFlatten(_QuantLayer):
         # pure reshape: backend-independent, dtype passes through
         return x.reshape(x.shape[0], -1), x_fmt
 
+
+#: Quantised counterpart of each parameterised float layer ``kind``.
+_QUANT_CLASSES = {"dense": _QuantDense, "conv": _QuantConv,
+                  "pool": _QuantPool}
 
 #: Default dispatch target when a layer is driven without a network.
 _REFERENCE = get_backend("reference")
@@ -334,7 +339,7 @@ class QuantizedNetwork:
         act_fmt = QFormat(spec.bits, spec.bits - 1)  # activations in [-1, 1)
         lut = SigmoidLUT(output_bits=spec.bits - 1) if use_lut else None
         param_layers = [layer for layer in network.layers
-                        if isinstance(layer, (Dense, Conv2D, ScaledAvgPool2D))]
+                        if layer.kind in _QUANT_CLASSES]
         if layer_specs is not None:
             if len(layer_specs) != len(param_layers):
                 raise ValueError(
@@ -350,16 +355,11 @@ class QuantizedNetwork:
 
         layers: list[_QuantLayer] = []
         for layer in network.layers:
-            if isinstance(layer, Flatten):
+            if layer.kind == "flatten":
                 layers.append(_QuantFlatten(name=layer.name))
                 continue
-            if isinstance(layer, Dense):
-                quant_cls = _QuantDense
-            elif isinstance(layer, Conv2D):
-                quant_cls = _QuantConv
-            elif isinstance(layer, ScaledAvgPool2D):
-                quant_cls = _QuantPool
-            else:
+            quant_cls = _QUANT_CLASSES.get(layer.kind)
+            if quant_cls is None:
                 raise TypeError(
                     f"cannot quantise layer type {type(layer).__name__}"
                 )
@@ -367,8 +367,7 @@ class QuantizedNetwork:
             quant = quant_cls.from_layer(layer, layer_spec, act_fmt, lut)
             quant.multiplier = layer_spec.multiplier     # the fold tag
             layers.append(quant)
-        dense_like = [q for q in layers
-                      if isinstance(q, (_QuantDense,))]
+        dense_like = [q for q in layers if q.kind == "dense"]
         if dense_like:
             dense_like[-1].is_output = True
         return cls(layers, act_fmt, spec, name=network.name,

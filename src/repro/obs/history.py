@@ -32,9 +32,8 @@ import os
 import subprocess
 from dataclasses import dataclass
 
-__all__ = ["HISTORY_FORMAT", "DEFAULT_HISTORY", "SUITES", "HistoryError",
-           "Gate", "DEFAULT_GATES", "Violation", "git_sha",
-           "entry_from_payload", "load_history", "append_entry",
+__all__ = ["HISTORY_FORMAT", "SUITES", "HistoryError", "Gate",
+           "DEFAULT_GATES", "git_sha", "entry_from_payload", "load_history", "append_entry",
            "resolve_metric", "check_gates", "format_trend"]
 
 #: Schema tag every ledger line carries.

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 
 from repro.obs.tracing import TRACE_FORMAT
 
-__all__ = ["TraceError", "SpanNode", "TraceFile", "load_trace",
+__all__ = ["TraceError", "TraceFile", "load_trace",
            "format_span_tree", "format_metric_table", "write_chrome_trace",
-           "span_paths", "PathStats", "TraceDiff", "diff_traces",
-           "format_trace_diff"]
+           "span_paths", "diff_traces", "format_trace_diff"]
 
 _NUMBER = (int, float)
 

@@ -16,14 +16,12 @@ plus formatters over these reports; new scenarios are config files
 """
 
 from repro.pipeline.config import (
-    FULL,
     QUICK,
     STAGE_NAMES,
     TRAIN_SETTINGS,
     Budget,
     PipelineConfig,
     PipelineConfigError,
-    TrainSettings,
     budget,
     is_plan_design,
     parse_design,
@@ -32,11 +30,8 @@ from repro.pipeline.pipeline import Pipeline, run_pipeline
 from repro.pipeline.report import PipelineReport, format_report
 from repro.pipeline.stages import (
     ConstrainResult,
-    DesignOutcome,
-    EnergyDesignRow,
     EnergyResult,
     EvaluateResult,
-    EvaluationRow,
     ExportResult,
     PipelineContext,
     QuantizeResult,
@@ -48,11 +43,11 @@ from repro.pipeline.stages import (
 __all__ = [
     "PipelineConfig", "PipelineConfigError", "STAGE_NAMES", "parse_design",
     "is_plan_design",
-    "Budget", "QUICK", "FULL", "budget", "TrainSettings", "TRAIN_SETTINGS",
+    "Budget", "QUICK", "budget", "TRAIN_SETTINGS",
     "Pipeline", "run_pipeline",
     "PipelineReport", "format_report",
     "PipelineContext", "StageError",
-    "TrainResult", "QuantizeResult", "ConstrainResult", "DesignOutcome",
-    "EvaluateResult", "EvaluationRow", "EnergyResult", "EnergyDesignRow",
+    "TrainResult", "QuantizeResult", "ConstrainResult",
+    "EvaluateResult", "EnergyResult",
     "ExportResult", "ServeCheckResult",
 ]

@@ -46,8 +46,7 @@ from repro.kernels.evaluate import DEFAULT_EVAL_BATCH
 from repro.kernels.registry import BACKEND_NAMES
 
 __all__ = [
-    "Budget", "QUICK", "FULL", "budget",
-    "TrainSettings", "TRAIN_SETTINGS",
+    "Budget", "QUICK", "budget", "TRAIN_SETTINGS",
     "PipelineConfigError", "PipelineConfig",
     "STAGE_NAMES", "DESIGN_COUNTS", "parse_design", "is_plan_design",
 ]

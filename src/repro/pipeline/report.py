@@ -9,7 +9,7 @@ so a report is one ``json.dump`` away from disk, and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hardware.report import format_table
 from repro.pipeline.config import PipelineConfig

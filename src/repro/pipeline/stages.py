@@ -40,9 +40,8 @@ from repro.training.mixed import paper_mixed_plan
 
 __all__ = [
     "PipelineContext", "StageError",
-    "TrainResult", "QuantizeResult", "DesignOutcome", "ConstrainResult",
-    "EvaluationRow", "EvaluateResult", "FaultRow", "FaultsResult",
-    "EnergyDesignRow", "EnergyResult",
+    "TrainResult", "QuantizeResult", "ConstrainResult",
+    "EvaluateResult", "FaultsResult", "EnergyResult",
     "ExportResult", "ServeCheckResult",
     "STAGE_FUNCTIONS", "result_from_payload",
     "save_state", "load_state", "CACHE_READ_ERRORS",

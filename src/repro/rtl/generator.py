@@ -27,7 +27,6 @@ from repro.asm.multiplier import (
     AlphabetSetMultiplier,
     Multiplier,
 )
-from repro.fixedpoint.binary import clog2
 from repro.fixedpoint.quartet import QuartetLayout
 
 __all__ = ["generate_asm_mac", "generate_conventional_mac",

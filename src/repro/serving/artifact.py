@@ -42,9 +42,8 @@ from repro.nn.quantized import (
     _QuantPool,
 )
 
-__all__ = ["ArtifactError", "ArtifactIntegrityError", "ARTIFACT_FORMAT",
-           "ARTIFACT_VERSION", "MANIFEST_NAME", "ARRAYS_NAME",
-           "save_artifact", "read_manifest"]
+__all__ = ["ArtifactError", "ArtifactIntegrityError", "MANIFEST_NAME",
+           "ARRAYS_NAME", "save_artifact", "read_manifest"]
 
 ARTIFACT_FORMAT = "repro-serving/model"
 ARTIFACT_VERSION = 1
@@ -251,38 +250,40 @@ def build_layers(manifest: dict[str, Any], arrays: dict[str, np.ndarray],
     layers = []
     for index, entry in enumerate(manifest["layers"]):
         prefix = f"layer{index}"
-        kind = entry["kind"]
-        name = entry.get("name")
-        if kind == "flatten":
-            layers.append(_QuantFlatten(name=name))
-            continue
-        activation = get_activation(entry["activation"])
-        layer_lut = lut if activation.name == "sigmoid" else None
-        if kind == "dense":
-            quant = _QuantDense(
-                arrays[f"{prefix}:w_int"], _fmt_from_json(entry["w_fmt"]),
-                arrays[f"{prefix}:bias"], activation, act_fmt, layer_lut,
-                is_output=bool(entry["is_output"]), name=name)
-        elif kind == "conv":
-            quant = _QuantConv(
-                arrays[f"{prefix}:w_int"], _fmt_from_json(entry["w_fmt"]),
-                arrays[f"{prefix}:bias"], int(entry["kernel"]),
-                activation, act_fmt, layer_lut, name=name)
-        elif kind == "pool":
-            quant = _QuantPool(
-                arrays[f"{prefix}:gain_int"],
-                _fmt_from_json(entry["gain_fmt"]),
-                arrays[f"{prefix}:bias"], int(entry["size"]),
-                activation, act_fmt, layer_lut, name=name)
-        else:
-            raise ArtifactError(f"unknown layer kind {kind!r}")
-        # absent key (pre-mixed-spec bundles) falls back to the
-        # network-level set; an explicit null means conventional
+        part = "entry"          # names the malformed part in the error
         try:
+            kind = entry["kind"]
+            name = entry.get("name")
+            if kind == "flatten":
+                layers.append(_QuantFlatten(name=name))
+                continue
+            activation = get_activation(entry["activation"])
+            layer_lut = lut if activation.name == "sigmoid" else None
+            if kind == "dense":
+                quant = _QuantDense(
+                    arrays[f"{prefix}:w_int"], _fmt_from_json(entry["w_fmt"]),
+                    arrays[f"{prefix}:bias"], activation, act_fmt, layer_lut,
+                    is_output=bool(entry["is_output"]), name=name)
+            elif kind == "conv":
+                quant = _QuantConv(
+                    arrays[f"{prefix}:w_int"], _fmt_from_json(entry["w_fmt"]),
+                    arrays[f"{prefix}:bias"], int(entry["kernel"]),
+                    activation, act_fmt, layer_lut, name=name)
+            elif kind == "pool":
+                quant = _QuantPool(
+                    arrays[f"{prefix}:gain_int"],
+                    _fmt_from_json(entry["gain_fmt"]),
+                    arrays[f"{prefix}:bias"], int(entry["size"]),
+                    activation, act_fmt, layer_lut, name=name)
+            else:
+                raise ArtifactError(f"unknown layer kind {kind!r}")
+            # absent key (pre-mixed-spec bundles) falls back to the
+            # network-level set; an explicit null means conventional
+            part = "alphabets"
             quant.multiplier = Multiplier.from_token(
                 entry.get("alphabets", manifest["alphabets"]))
-        except (TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             raise ArtifactError(
-                f"layer {index}: bad alphabets ({error})") from None
+                f"layer {index}: bad {part} ({error!r})") from None
         layers.append(quant)
     return layers, act_fmt

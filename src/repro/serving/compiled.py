@@ -24,15 +24,9 @@ from typing import Any
 import numpy as np
 
 from repro.fixedpoint.qformat import QFormat
-from repro.hardware.engine import LayerWork, NetworkTopology, ProcessingEngine
+from repro.hardware.engine import NetworkTopology, ProcessingEngine
 from repro.kernels import DEFAULT_EVAL_BATCH, batched_accuracy, get_backend
 from repro.kernels.registry import KernelBackend
-from repro.nn.quantized import (
-    _QuantConv,
-    _QuantDense,
-    _QuantFlatten,
-    _QuantPool,
-)
 from repro.serving.artifact import _load_arrays, build_layers, read_manifest
 
 __all__ = ["CompiledModel"]
@@ -94,16 +88,16 @@ class CompiledModel:
         """Per-compute-layer lowering the backend chose (``"blas"`` /
         ``"integer"``); the observability hook for the fallback policy."""
         return tuple(self._backend.lowering(layer) for layer in self.layers
-                     if not isinstance(layer, _QuantFlatten))
+                     if layer.kind != "flatten")
 
     @property
     def num_params(self) -> int:
         """Deployed parameter count (integer weight/gain tables + biases)."""
         total = 0
         for layer in self.layers:
-            if isinstance(layer, (_QuantDense, _QuantConv)):
+            if layer.kind in ("dense", "conv"):
                 total += layer.w_int.size + layer.bias.size
-            elif isinstance(layer, _QuantPool):
+            elif layer.kind == "pool":
                 total += layer.gain_int.size + layer.bias.size
         return total
 
@@ -132,40 +126,9 @@ class CompiledModel:
     # hardware cost (the paper's energy story, reported live by serving)
     # ------------------------------------------------------------------
     def topology(self) -> NetworkTopology:
-        """Compute demand per inference, mirroring
+        """Compute demand per inference, the same derivation as
         :meth:`repro.nn.network.Sequential.topology`."""
-        works: list[LayerWork] = []
-        spatial = self.input_spatial
-        for index, layer in enumerate(self.layers):
-            name = layer.name or f"{layer.kind}{index}"
-            if isinstance(layer, _QuantDense):
-                fan_in, fan_out = layer.w_int.shape
-                works.append(LayerWork(name, fan_out, fan_in))
-            elif isinstance(layer, _QuantConv):
-                if spatial is None:
-                    raise ValueError(
-                        f"{name}: artifact lacks input_spatial; cannot "
-                        f"derive the conv topology")
-                out_h = spatial[0] - layer.kernel + 1
-                out_w = spatial[1] - layer.kernel + 1
-                in_channels = layer.w_int.shape[1]
-                works.append(LayerWork(
-                    name, layer.out_channels * out_h * out_w,
-                    in_channels * layer.kernel * layer.kernel))
-                spatial = (out_h, out_w)
-            elif isinstance(layer, _QuantPool):
-                if spatial is None:
-                    raise ValueError(
-                        f"{name}: artifact lacks input_spatial; cannot "
-                        f"derive the pool topology")
-                out_h = spatial[0] // layer.size
-                out_w = spatial[1] // layer.size
-                works.append(LayerWork(
-                    name, layer.channels * out_h * out_w, 1))
-                spatial = (out_h, out_w)
-        if not works:
-            raise ValueError("model has no compute layers")
-        return NetworkTopology(self.name, tuple(works))
+        return NetworkTopology.of(self.name, self.layers, self.input_spatial)
 
     def energy_per_inference_nj(self) -> float | None:
         """Estimated energy (nJ) for one inference on the CSHM engine.
@@ -178,7 +141,7 @@ class CompiledModel:
         if not self._energy_known:
             try:
                 multipliers = [layer.multiplier for layer in self.layers
-                               if not isinstance(layer, _QuantFlatten)]
+                               if layer.kind != "flatten"]
                 self._energy_nj = ProcessingEngine(self.bits).run(
                     self.topology(), layer_alphabets=multipliers).energy_nj
             except (KeyError, ValueError):

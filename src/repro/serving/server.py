@@ -52,7 +52,7 @@ from repro.serving.batching import (
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry, default_registry
 
-__all__ = ["ServingServer", "create_server", "main"]
+__all__ = ["create_server", "main"]
 
 #: how long a handler waits for its batch when no ``deadline_s`` is set
 RESULT_TIMEOUT_S = 30.0

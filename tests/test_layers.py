@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.conv_utils import col2im, conv_output_size, im2col
+from repro.kernels.conv_utils import col2im, conv_output_size, im2col
 from repro.nn.layers import Conv2D, Dense, Flatten, ScaledAvgPool2D
 
 RNG = np.random.default_rng(42)

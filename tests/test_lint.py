@@ -40,6 +40,8 @@ FIXTURE_PAIRS = {
     "RPR005": (f"{FIXTURES}/rpr005_bad/explore/journal.py",
                f"{FIXTURES}/rpr005_good/explore/journal.py"),
     "RPR006": (f"{FIXTURES}/rpr006_bad.py", f"{FIXTURES}/rpr006_good.py"),
+    "RPR007": (f"{FIXTURES}/rpr007_bad/repro/kernels/plans.py",
+               f"{FIXTURES}/rpr007_good/repro/kernels/plans.py"),
 }
 
 
@@ -52,10 +54,10 @@ def rules_hit(result):
 
 
 class TestRegistry:
-    def test_six_rules_registered(self):
+    def test_builtin_rules_registered(self):
         rules = all_rules()
         assert sorted(rules) == ["RPR001", "RPR002", "RPR003",
-                                 "RPR004", "RPR005", "RPR006"]
+                                 "RPR004", "RPR005", "RPR006", "RPR007"]
         for rule_id, rule in rules.items():
             assert rule.rule_id == rule_id
             assert rule.title
@@ -125,6 +127,67 @@ class TestShippedTreeIsClean:
     def test_explicit_file_bypasses_exclude(self):
         bad, _ = FIXTURE_PAIRS["RPR001"]
         assert run_lint([bad]).findings  # excluded dir, explicit path
+
+
+class TestLayering:
+    """RPR007 on a synthetic ``repro`` tree: imports must point down
+    the package order, function-level ones included."""
+
+    def lint_tree(self, tmp_path, files):
+        for rel, source in files.items():
+            path = tmp_path / "repro" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source))
+        result = lint_paths([str(tmp_path / "repro")], root=str(tmp_path),
+                            config=LintConfig(select=["RPR007"]))
+        return sorted((f.path, f.line) for f in result.findings)
+
+    def test_upward_import_at_module_level(self, tmp_path):
+        assert self.lint_tree(tmp_path, {
+            "kernels/plans.py": "from repro.nn.layers import Dense\n",
+        }) == [("repro/kernels/plans.py", 1)]
+
+    def test_upward_import_inside_function(self, tmp_path):
+        assert self.lint_tree(tmp_path, {
+            "kernels/plans.py": """
+                def plan():
+                    from repro.nn import layers
+                    return layers
+                """,
+        }) == [("repro/kernels/plans.py", 3)]
+
+    def test_same_tier_import(self, tmp_path):
+        assert self.lint_tree(tmp_path, {
+            "asm/table.py": "import repro.kernels.registry\n",
+        }) == [("repro/asm/table.py", 1)]
+
+    def test_downward_and_own_package_imports_clean(self, tmp_path):
+        assert self.lint_tree(tmp_path, {
+            "nn/layers.py": """
+                from repro import __version__, obs
+                from repro.kernels.conv_utils import im2col
+                from repro.nn.activations import Sigmoid
+                from . import activations
+
+                def build():
+                    from repro.hardware.engine import NetworkTopology
+                    return NetworkTopology
+                """,
+        }) == []
+
+    def test_root_modules_exempt(self, tmp_path):
+        upward = "from repro.experiments import EXPERIMENTS\n"
+        assert self.lint_tree(tmp_path, {
+            "__init__.py": upward, "__main__.py": upward, "cli.py": upward,
+        }) == []
+
+    def test_package_outside_the_order(self, tmp_path):
+        findings = self.lint_tree(tmp_path, {
+            "mixed/neuron.py": "from repro.asm import ALPHA_1\n",
+            "hardware/cost.py": "from repro.mixed import neuron\n",
+        })
+        assert findings == [("repro/hardware/cost.py", 1),
+                            ("repro/mixed/neuron.py", 1)]
 
 
 class TestCacheKeyOmission:

@@ -18,7 +18,7 @@ import pytest
 from repro.asm.alphabet import ALPHA_1, ALPHA_2
 from repro.asm.constraints import WeightConstrainer
 from repro.asm.multiplier import AlphabetSetMultiplier, Multiplier
-from repro.datasets.registry import lenet, mlp
+from repro.datasets.registry import BENCHMARKS, build_model, lenet, mlp
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.serving import (
     ArtifactIntegrityError,
@@ -157,6 +157,33 @@ class TestArtifactRoundTrip:
             json.dump(manifest, handle)
         with pytest.raises(ArtifactError, match="layer 0: bad alphabets"):
             CompiledModel.load(path)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda layer: layer.pop("activation"),
+        lambda layer: layer["w_fmt"].update(total_bits="x"),
+    ], ids=["no_activation", "bad_total_bits"])
+    def test_malformed_layer_rejected(self, exported, tamper):
+        """A re-checksummed manifest with a malformed layer field is a
+        typed load error naming the layer, not a KeyError/ValueError."""
+        _, path = exported
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        tamper(manifest["layers"][0])
+        manifest["checksum"] = _manifest_digest(manifest)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ArtifactError, match="layer 0: bad entry"):
+            CompiledModel.load(path)
+
+    @pytest.mark.parametrize("app", sorted(BENCHMARKS))
+    def test_topology_matches_float_model(self, app, tmp_path):
+        """The served model and the float network it came from give
+        the engine the same per-layer work."""
+        model = build_model(app, seed=0)
+        lowered = QuantizedNetwork.from_float(model, QuantizationSpec(8))
+        path = save_artifact(lowered, str(tmp_path / app))
+        assert CompiledModel.load(path).topology() == model.topology()
 
     def test_missing_bundle_rejected(self, tmp_path):
         empty = tmp_path / "nothing"

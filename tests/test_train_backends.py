@@ -21,8 +21,16 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from repro import obs
 from repro.asm.alphabet import ALPHA_2
 from repro.kernels import get_backend
-from repro.kernels.training import _activation_forward, _fused_activation
-from repro.nn.activations import Sigmoid
+from repro.kernels.training import (
+    _FALLBACK,
+    _activation_forward,
+    _build_plan,
+    _ConvPlan,
+    _DensePlan,
+    _fused_activation,
+    _PoolPlan,
+)
+from repro.nn.activations import Identity, ReLU, Sigmoid, Tanh
 from repro.nn.layers import Conv2D, Dense, Flatten, ScaledAvgPool2D
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
@@ -199,6 +207,30 @@ class TestDirectKernelParity:
         ref = net_ref.forward(x.astype(np.float64))
         fast = net_fast.forward(x)
         np.testing.assert_allclose(ref, fast, rtol=1e-6)
+
+
+class TestPlanDispatch:
+    """Plans and fused derivatives are proven for the built-in classes
+    only: a subclass that may override ``forward`` runs its own
+    ``forward``/``backward``."""
+
+    def test_builtins_planned_and_subclasses_fall_back(self):
+        class CustomDense(Dense):
+            pass
+
+        class CustomSigmoid(Sigmoid):
+            pass
+
+        flat, maps = np.zeros((4, 6)), np.zeros((4, 2, 8, 8))
+        assert isinstance(_build_plan(Dense(6, 3), flat), _DensePlan)
+        assert isinstance(_build_plan(Conv2D(2, 3, 3), maps), _ConvPlan)
+        assert isinstance(_build_plan(ScaledAvgPool2D(2), maps), _PoolPlan)
+        for activation in (Identity(), Sigmoid(), Tanh(), ReLU()):
+            assert _fused_activation(activation)
+        assert _build_plan(CustomDense(6, 3), flat) is _FALLBACK
+        assert not _fused_activation(CustomSigmoid())
+        assert _build_plan(Dense(6, 3, activation=CustomSigmoid()),
+                           flat) is _FALLBACK
 
 
 def grads_bytes(network):
