@@ -1,11 +1,11 @@
 """Cross-commit behaviour pins: recompute every digest and the public
 surface, and compare.
 
-A failure names every entry that moved (or export that was added or
-removed).  If the move is intended,
-regenerate with ``python tests/pins/regen.py`` and list each moved entry
-and its reason in CHANGES.md; otherwise the change broke behaviour that
-no other test sees (both backends moving together, a re-keyed cache).
+A failure names every entry that moved, or export that was added or
+removed.  If the move is intended, regenerate with
+``python tests/pins/regen.py`` and list each moved entry and its reason
+in CHANGES.md; otherwise the change broke behaviour that no other test
+sees (both backends moving together, a re-keyed cache).
 """
 
 from __future__ import annotations
