@@ -1,6 +1,6 @@
 """RPR007 — layering: every ``repro`` import points down one package order.
 
-The order is the ``tiers`` option below, lowest first, measured from the
+The order is ``_TIERS`` below, lowest first, measured from the
 tree (``hardware`` sits below ``nn``, ``faults``/``serving`` below
 ``pipeline``).  A module may import its own package or a lower tier; an
 import of a higher tier, of another package in the same tier or of a
@@ -52,32 +52,33 @@ def _imported_packages(node: ast.AST, parts: list[str]):
                 yield name
 
 
+#: The package order, lowest tier first.  Declared here only: it is not
+#: a rule option, so no config file can reorder or merge tiers.
+_TIERS = (
+    ("fixedpoint", "utils", "obs", "lint"),
+    ("asm", "kernels"),
+    ("rtl", "hardware"),
+    ("nn",),
+    ("datasets", "training", "faults", "serving"),
+    ("analysis", "pipeline"),
+    ("explore",),
+    ("experiments",),
+)
+_TIER = {package: index for index, packages in enumerate(_TIERS)
+         for package in packages}
+
+
 class LayeringRule(Rule):
     rule_id = "RPR007"
     title = "repro import against the package order"
     severity = "error"
-    default_options = {
-        "tiers": [
-            ["fixedpoint", "utils", "obs", "lint"],
-            ["asm", "kernels"],
-            ["rtl", "hardware"],
-            ["nn"],
-            ["datasets", "training", "faults", "serving"],
-            ["analysis", "pipeline"],
-            ["explore"],
-            ["experiments"],
-        ],
-    }
 
     def check_module(self, module, ctx):
         parts = _module_parts(module.rel)
         if parts is None or len(parts) < 3:
             return                       # outside repro, or a root module
-        tier = {package: index for index, packages
-                in enumerate(ctx.options(self)["tiers"])
-                for package in packages}
         own = parts[1]
-        if own not in tier:
+        if own not in _TIER:
             yield self.emit(ctx, module.rel, 1,
                             f"package {own!r} is not in the RPR007 "
                             f"package order; add it to a tier")
@@ -86,12 +87,12 @@ class LayeringRule(Rule):
             for package in _imported_packages(node, parts):
                 if package == own:
                     continue
-                level = tier.get(package)
+                level = _TIER.get(package)
                 if level is None:
                     why = "is not in the package order"
-                elif level > tier[own]:
+                elif level > _TIER[own]:
                     why = "sits in a higher tier"
-                elif level == tier[own]:
+                elif level == _TIER[own]:
                     why = "sits in the same tier"
                 else:
                     continue

@@ -33,14 +33,12 @@ import subprocess
 from dataclasses import dataclass
 
 __all__ = ["HISTORY_FORMAT", "SUITES", "HistoryError", "Gate",
-           "DEFAULT_GATES", "git_sha", "entry_from_payload", "load_history", "append_entry",
-           "resolve_metric", "check_gates", "format_trend"]
+           "DEFAULT_GATES", "git_sha", "entry_from_payload",
+           "load_history", "append_entry", "resolve_metric",
+           "check_gates", "format_trend"]
 
 #: Schema tag every ledger line carries.
 HISTORY_FORMAT = "repro-bench-history/1"
-
-#: Default ledger location (repo root, next to the BENCH_*.json files).
-DEFAULT_HISTORY = "BENCH_HISTORY.jsonl"
 
 #: Bench suites the ledger tracks: name -> bench module filenames, run
 #: in order.  Each script's ``emit_json`` writes (or merges into)
