@@ -84,9 +84,25 @@ def _finish_trace(args: argparse.Namespace, tracing: bool) -> None:
               f"`repro stats {args.trace}`]")
 
 
+def _run_single(args: argparse.Namespace, config: PipelineConfig,
+                stages: tuple[str, ...] | None = None) -> int:
+    """Run one config with live per-stage progress, print its report
+    and write ``--json``: the one-config path of ``run`` and ``faults``."""
+    from repro.pipeline.pipeline import Pipeline
+    from repro.pipeline.report import format_report
+
+    report = Pipeline(config).run(stages=stages, resume=not args.no_resume,
+                                  verbose=not args.quiet)
+    if not args.quiet:
+        print()
+    print(format_report(report))
+    if args.json:
+        print(f"\n[wrote {report.save(args.json)}]")
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.explore.executor import run_pipeline_jobs
-    from repro.pipeline.pipeline import Pipeline
     from repro.pipeline.report import format_report
     from repro.pipeline.stages import StageError
     from repro.utils.serialization import write_json
@@ -113,16 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else:
                 configs.append(config)
         if len(configs) == 1:
-            # single run: keep live per-stage progress
-            report = Pipeline(configs[0]).run(
-                stages=stages, resume=not args.no_resume,
-                verbose=not args.quiet)
-            if not args.quiet:
-                print()
-            print(format_report(report))
-            if args.json:
-                print(f"\n[wrote {report.save(args.json)}]")
-            return 0
+            return _run_single(args, configs[0], stages)
         reports = run_pipeline_jobs(configs, stages=stages,
                                     resume=not args.no_resume,
                                     jobs=args.jobs)
@@ -205,15 +212,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults import ResiliencyReport, format_resiliency_report
-    from repro.pipeline.config import PipelineConfig, PipelineConfigError
-    from repro.pipeline.pipeline import Pipeline
     from repro.pipeline.stages import StageError
-    from repro.utils.serialization import write_json
 
     tracing = _start_trace(args.trace)
     try:
-        rates = tuple(float(r) for r in args.rates.split(","))
         config = PipelineConfig(
             app=args.app,
             designs=tuple(args.designs.split(",")),
@@ -222,26 +224,17 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             budget="full" if args.full else "quick",
             seed=args.seed,
             cache_dir=args.cache_dir,
-            fault_rates=rates,
+            fault_rates=tuple(float(r) for r in args.rates.split(",")),
             fault_kind=args.kind,
             fault_seed=args.fault_seed,
         )
-        pipeline_report = Pipeline(config).run(
-            resume=not args.no_resume, verbose=not args.quiet)
-        report = ResiliencyReport.from_pipeline_report(pipeline_report)
+        return _run_single(args, config)
     except (PipelineConfigError, StageError, OSError,
             ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     finally:
         _finish_trace(args, tracing)
-    if not args.quiet:
-        print()
-    print(format_resiliency_report(report))
-    if args.json:
-        path = write_json(args.json, report.to_dict())
-        print(f"\n[wrote {path}]")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -583,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--no-resume", action="store_true",
                         help="ignore cached stage results")
     faults.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the ResiliencyReport to PATH")
+                        help="also write the PipelineReport to PATH")
     _add_trace_flag(faults)
     faults.add_argument("--quiet", action="store_true",
                         help="suppress per-stage progress lines")

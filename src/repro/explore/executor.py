@@ -33,6 +33,7 @@ from repro.faults import chaos as _chaos
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.report import PipelineReport
+from repro.utils.serialization import to_jsonable
 
 __all__ = ["RECORD_FORMAT", "CandidateTimeout", "evaluate_candidate",
            "run_candidates", "pool_map", "run_pipeline_jobs"]
@@ -175,15 +176,7 @@ def evaluate_candidate(config: PipelineConfig,
         if outcome.chosen_alphabets is not None:
             record["chosen_alphabets"] = outcome.chosen_alphabets
     if report.faults is not None:
-        record["faults"] = {
-            "kind": report.faults.kind,
-            "seed": report.faults.seed,
-            "rows": [{"design": row.design, "rate": row.rate,
-                      "accuracy": row.accuracy,
-                      "degradation": row.degradation,
-                      "injected": row.injected}
-                     for row in report.faults.rows],
-        }
+        record["faults"] = to_jsonable(report.faults)
     return record
 
 

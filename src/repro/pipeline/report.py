@@ -149,11 +149,16 @@ def format_report(report: PipelineReport) -> str:
                          f"{row.accuracy * 100:.2f}",
                          f"{row.degradation * 100:+.2f}",
                          str(row.injected)])
-        sections.append(format_table(
+        section = format_table(
             ["Design", "Fault rate", "Accuracy (%)", "Degradation (pp)",
              "Injected"], rows,
             title=f"Stage: faults ({report.faults.kind}, "
-                  f"seed {report.faults.seed})"))
+                  f"seed {report.faults.seed})")
+        if "conventional" in config.designs:
+            section += ("\nworst excess degradation vs conventional: "
+                        f"{report.faults.worst_excess_degradation_pp():+.2f}"
+                        " pp")
+        sections.append(section)
     if report.energy is not None:
         rows = []
         for row in report.energy.rows:

@@ -148,6 +148,18 @@ class FaultsResult:
     seed: int
     rows: tuple[FaultRow, ...]
 
+    def worst_excess_degradation_pp(self) -> float:
+        """Worst degradation beyond conventional's at the same rate, in
+        accuracy points, floored at 0.0 (also the value without
+        conventional rows): 0.0 means no design degrades worse than the
+        conventional deployment."""
+        conventional = {row.rate: row.degradation for row in self.rows
+                        if row.design == "conventional"}
+        return max([0.0] + [(row.degradation - conventional[row.rate])
+                            * 100.0 for row in self.rows
+                            if row.design != "conventional"
+                            and row.rate in conventional])
+
 
 @dataclass(frozen=True)
 class EnergyDesignRow:

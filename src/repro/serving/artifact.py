@@ -244,11 +244,20 @@ def build_layers(manifest: dict[str, Any], arrays: dict[str, np.ndarray],
     """Reconstruct the quantised layer stack from a verified bundle
     (for :meth:`repro.serving.compiled.CompiledModel.load`; no multiplier
     or constrainer table is rebuilt)."""
-    act_fmt = _fmt_from_json(manifest["act_fmt"])
-    lut = (SigmoidLUT(output_bits=int(manifest["bits"]) - 1)
-           if manifest["use_lut"] else None)
+    part = "act_fmt"            # names the malformed field in the error
+    try:
+        act_fmt = _fmt_from_json(manifest["act_fmt"])
+        part = "bits"
+        bits = int(manifest["bits"])
+        part = "use_lut"
+        lut = (SigmoidLUT(output_bits=bits - 1)
+               if manifest["use_lut"] else None)
+        part = "layers"
+        entries = list(manifest["layers"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise ArtifactError(f"bad manifest {part} ({error!r})") from None
     layers = []
-    for index, entry in enumerate(manifest["layers"]):
+    for index, entry in enumerate(entries):
         prefix = f"layer{index}"
         part = "entry"          # names the malformed part in the error
         try:

@@ -17,6 +17,7 @@ import pytest
 from repro.asm.alphabet import ALPHA_2
 from repro.asm.constraints import WeightConstrainer
 from repro.asm.multiplier import Multiplier
+from repro.cli import main
 from repro.datasets.registry import mlp
 from repro.explore import (
     FAILED_STATUS,
@@ -30,12 +31,9 @@ from repro.faults import (
     ChaosCrash,
     FaultModelError,
     FaultSpec,
-    ResiliencyPoint,
-    ResiliencyReport,
     fault_network,
     fault_session,
     faulted_accuracy,
-    format_resiliency_report,
 )
 from repro.faults import chaos
 from repro.faults.models import (
@@ -49,6 +47,9 @@ from repro.faults.models import (
 from repro.fixedpoint.binary import signed_range
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.pipeline import Pipeline, PipelineConfig, PipelineConfigError
+from repro.pipeline.report import format_report
+from repro.pipeline.stages import FaultRow, FaultsResult, result_from_payload
+from repro.utils.serialization import to_jsonable
 
 RNG = np.random.default_rng(11)
 
@@ -273,57 +274,72 @@ class TestFaultsStage:
             app="face", designs=("conventional", "asm2"),
             stages=FAULT_STAGES, budget=TINY,
             cache_dir=str(tmp_path / "cache"), fault_rates=(0.01,))
-        resiliency = ResiliencyReport.from_pipeline_report(
-            Pipeline(config).run())
-        assert resiliency.app == "face"
-        assert resiliency.designs == ("conventional", "asm2")
-        assert set(resiliency.clean) == {"conventional", "asm2"}
-        assert len(resiliency.points) == 2
-        text = format_resiliency_report(resiliency)
-        assert "Resiliency" in text and "asm2" in text
+        report = Pipeline(config).run()
+        text = format_report(report)
+        assert "Stage: faults (activation_upset, seed 0)" in text
+        worst = report.faults.worst_excess_degradation_pp()
+        assert (f"worst excess degradation vs conventional: "
+                f"{worst:+.2f} pp") in text
+        # without a conventional baseline there is nothing to exceed
+        asm_only = config.with_overrides(designs=("asm2",))
+        assert "worst excess" not in format_report(
+            Pipeline(asm_only).run())
+
+    def test_cli_writes_the_run_report(self, tmp_path, capsys):
+        """``repro faults --json`` writes the report ``repro run --json``
+        writes for the equivalent config file."""
+        cache = str(tmp_path / "cache")
+        faults_json = str(tmp_path / "faults.json")
+        assert main(["faults", "face", "--rates", "0.01",
+                     "--designs", "conventional,asm2", "--cache-dir", cache,
+                     "--json", faults_json, "--quiet"]) == 0
+        assert "worst excess degradation" in capsys.readouterr().out
+        config_path = tmp_path / "faults_config.json"
+        config_path.write_text(json.dumps({
+            "app": "face", "designs": ["conventional", "asm2"],
+            "stages": list(FAULT_STAGES), "budget": "quick", "seed": 0,
+            "fault_rates": [0.01], "fault_kind": "activation_upset",
+            "fault_seed": 0}))
+        run_json = str(tmp_path / "run.json")
+        assert main(["run", str(config_path), "--cache-dir", cache,
+                     "--json", run_json, "--quiet"]) == 0
+        with open(faults_json) as handle:
+            written = json.load(handle)
+        with open(run_json) as handle:
+            expected = json.load(handle)
+        assert written["stages_run"][-1] == "faults"
+        assert written["config"] == expected["config"]
+        assert written["stages"] == expected["stages"]
 
 
 # ----------------------------------------------------------------------
-# resiliency report arithmetic
+# resiliency arithmetic on a hand-built FaultsResult
 # ----------------------------------------------------------------------
-def hand_report() -> ResiliencyReport:
-    return ResiliencyReport(
-        app="face", bits=12, kind="activation_upset", seed=0,
-        budget="tiny", rates=(0.01, 0.05),
-        designs=("conventional", "asm2"),
-        clean={"conventional": 0.98, "asm2": 0.97},
-        points=(
-            ResiliencyPoint("conventional", 0.01, 0.97, 0.01, 10),
-            ResiliencyPoint("conventional", 0.05, 0.95, 0.03, 50),
-            ResiliencyPoint("asm2", 0.01, 0.955, 0.015, 11),
-            ResiliencyPoint("asm2", 0.05, 0.94, 0.03, 49),
-        ))
+def hand_faults() -> FaultsResult:
+    return FaultsResult(kind="activation_upset", seed=0, rows=(
+        FaultRow("conventional", 0.01, 0.97, 0.01, 10),
+        FaultRow("conventional", 0.05, 0.95, 0.03, 50),
+        FaultRow("asm2", 0.01, 0.955, 0.015, 11),
+        FaultRow("asm2", 0.05, 0.94, 0.03, 49),
+    ))
 
 
 class TestResiliencyReport:
+    """The resiliency summary a faults run reports, on FaultsResult."""
+
     def test_round_trip(self):
-        report = hand_report()
-        assert ResiliencyReport.from_dict(report.to_dict()) == report
+        faults = hand_faults()
+        assert result_from_payload("faults", to_jsonable(faults)) == faults
 
     def test_worst_excess_degradation(self):
         # asm2 at 0.01 degrades 0.015 vs conventional 0.01 -> +0.5pp;
         # at 0.05 both degrade 0.03 -> 0pp.  Worst is +0.5pp.
-        assert hand_report().worst_excess_degradation_pp() == \
+        assert hand_faults().worst_excess_degradation_pp() == \
             pytest.approx(0.5)
-
-    def test_min_clean_accuracy(self):
-        assert hand_report().min_clean_accuracy() == pytest.approx(0.97)
-
-    def test_curve_sorted_by_rate(self):
-        curve = hand_report().curve("asm2")
-        assert [p.rate for p in curve] == [0.01, 0.05]
-
-    def test_bench_results_gate_metrics_are_top_level(self):
-        results = hand_report().bench_results()
-        assert results["min_clean_accuracy"] == pytest.approx(0.97)
-        assert results["worst_excess_degradation_pp"] == \
-            pytest.approx(0.5)
-        assert set(results["curves"]) == {"conventional", "asm2"}
+        # no conventional rows: nothing to exceed
+        asm_only = FaultsResult(kind="activation_upset", seed=0, rows=tuple(
+            row for row in hand_faults().rows if row.design == "asm2"))
+        assert asm_only.worst_excess_degradation_pp() == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -176,6 +176,29 @@ class TestArtifactRoundTrip:
         with pytest.raises(ArtifactError, match="layer 0: bad entry"):
             CompiledModel.load(path)
 
+    @pytest.mark.parametrize("tamper, part", [
+        (lambda manifest: manifest["act_fmt"].update(total_bits="x"),
+         "act_fmt"),
+        (lambda manifest: manifest.update(layers=5), "layers"),
+        (lambda manifest: manifest.pop("use_lut"), "use_lut"),
+        (lambda manifest: manifest.update(bits="x"), "bits"),
+    ], ids=["bad_act_fmt", "layers_not_a_list", "no_use_lut", "bad_bits"])
+    def test_malformed_manifest_field_rejected(self, exported, tamper,
+                                               part):
+        """The manifest-level fields read before the layer loop fail as
+        typed load errors naming the field, not a ValueError, TypeError
+        or KeyError."""
+        _, path = exported
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        tamper(manifest)
+        manifest["checksum"] = _manifest_digest(manifest)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ArtifactError, match=f"bad manifest {part}"):
+            CompiledModel.load(path)
+
     @pytest.mark.parametrize("app", sorted(BENCHMARKS))
     def test_topology_matches_float_model(self, app, tmp_path):
         """The served model and the float network it came from give
