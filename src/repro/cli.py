@@ -27,6 +27,7 @@ import argparse
 import os
 import sys
 
+from repro.faults.models import FAULT_KINDS
 from repro.pipeline.config import (
     STAGE_NAMES,
     PipelineConfig,
@@ -561,9 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fault rates to sweep "
                              "(default: %(default)s)")
     faults.add_argument("--kind", default="activation_upset",
-                        choices=("weight_bitflip", "weight_stuck",
-                                 "activation_upset",
-                                 "requantize_saturation"),
+                        choices=FAULT_KINDS,
                         help="fault model (default: %(default)s)")
     faults.add_argument("--fault-seed", type=int, default=0,
                         help="seed of the deterministic fault-site hash")

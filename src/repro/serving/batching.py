@@ -1,8 +1,8 @@
 """Dynamic micro-batching: coalesce single requests into batched passes.
 
 The integer-matmul forward pass is dramatically cheaper per sample when
-batched (see ``benchmarks/bench_serving_throughput.py``), so the server
-never runs one sample at a time: requests enter a queue, a worker thread
+batched (see ``benchmarks/bench_serving_throughput.py``), so concurrent
+requests share forward passes: requests enter a queue, a worker thread
 drains it, groups requests by model key, and runs one forward pass per
 group.  A batch never exceeds ``max_batch_size`` samples.
 
@@ -12,6 +12,14 @@ previous forward pass ran, and never idles waiting for co-riders.
 Batches still form under load, because requests pile up behind a
 running forward pass.  A positive ``max_latency_ms`` makes a request
 wait up to that long for co-riders, trading latency for larger batches.
+
+Who runs a batch: :meth:`MicroBatcher.predict` (the server's one call)
+runs the forward pass on the calling thread when the worker's next
+batch would be this request alone — the queue is empty, no other
+``predict`` is in progress, and no co-rider window, queue bound or
+deadline is set.  That skips the hand-off to the worker, which costs
+several times a 1-sample forward pass.  Every other request is queued
+and the worker runs it, so concurrent requests still coalesce.
 
 Each :meth:`MicroBatcher.submit` returns a
 :class:`concurrent.futures.Future` resolving to the score rows for that
@@ -37,6 +45,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import TimeoutError as ResultTimeoutError
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,6 +92,18 @@ class BatchSettings:
             raise ValueError("deadline_s must be positive (or None)")
 
 
+def _as_batch(x) -> np.ndarray:
+    """*x* as a float64 batch: a leading axis is added to one flat sample
+    or one image; any other rank than a batch of those is a ValueError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim in (1, 3):            # one flat sample / one image
+        x = x[np.newaxis]
+    if x.ndim not in (2, 4):
+        raise ValueError(
+            f"expected a sample or batch, got shape {x.shape}")
+    return x
+
+
 class _Request:
     __slots__ = ("key", "x", "future", "enqueued")
 
@@ -119,6 +140,8 @@ class MicroBatcher:
         self._queue: queue.Queue[_Request | None] = queue.Queue()
         self._closed = False
         self._lock = threading.Lock()
+        #: :meth:`predict` calls in progress (guarded by ``_lock``)
+        self._predicting = 0
         self._worker = threading.Thread(target=self._run, daemon=True,
                                         name="repro-microbatcher")
         self._worker.start()
@@ -134,13 +157,7 @@ class MicroBatcher:
         """
         # convert/validate outside the lock — payloads can be large and
         # concurrent submitters are the normal case
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim in (1, 3):            # one flat sample / one image
-            x = x[np.newaxis]
-        if x.ndim not in (2, 4):
-            raise ValueError(
-                f"expected a sample or batch, got shape {x.shape}")
-        request = _Request(key, x)
+        request = _Request(key, _as_batch(x))
         with self._lock:
             if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
@@ -157,8 +174,34 @@ class MicroBatcher:
 
     def predict(self, key, x: np.ndarray, timeout: float | None = 10.0,
                 ) -> np.ndarray:
-        """Synchronous helper: submit and wait for the scores."""
-        return self.submit(key, x).result(timeout=timeout)
+        """The score rows for *x*, waiting at most *timeout* seconds.
+
+        An idle batcher runs the forward pass on the calling thread; see
+        the module docstring for when.  Otherwise the request is queued
+        like :meth:`submit`; if no result arrives in time its future is
+        cancelled, so the worker skips it, and
+        :class:`concurrent.futures.TimeoutError` is raised.
+        """
+        settings = self.settings
+        with self._lock:
+            inline = (not self._closed and self._predicting == 0
+                      and settings.max_latency_ms == 0
+                      and settings.deadline_s is None
+                      and settings.max_queue_depth == 0
+                      and self._queue.empty())
+            self._predicting += 1
+        try:
+            if inline:
+                return self._forward(key, _as_batch(x), 1)
+            future = self.submit(key, x)
+            try:
+                return future.result(timeout=timeout)
+            except ResultTimeoutError:
+                future.cancel()
+                raise
+        finally:
+            with self._lock:
+                self._predicting -= 1
 
     def queue_depth(self) -> int:
         """Requests currently waiting (approximate, like ``qsize``).
@@ -231,9 +274,9 @@ class MicroBatcher:
             pass
 
     def _expire(self, batch: list[_Request]) -> list[_Request]:
-        """Drop requests nobody waits for: cancelled by their caller (the
-        server cancels when it stops waiting), or queued past the
-        deadline."""
+        """Drop requests nobody waits for: cancelled by their caller
+        (:meth:`predict` cancels when it stops waiting), or queued past
+        the deadline."""
         deadline_s = self.settings.deadline_s
         now = time.monotonic()
         live = []
@@ -252,6 +295,14 @@ class MicroBatcher:
                 live.append(request)
         return live
 
+    def _forward(self, key, x: np.ndarray, requests: int) -> np.ndarray:
+        """One traced, counted forward pass of *requests* stacked in *x*."""
+        with obs.span("serving.batch", requests=requests):
+            scores = self._resolve(key).forward(x)
+        if self.metrics is not None:
+            self.metrics.record_batch(len(scores))
+        return scores
+
     def _flush(self, batch: list[_Request]) -> None:
         """Run one forward pass per model key and resolve futures."""
         batch = self._expire(batch)
@@ -263,16 +314,13 @@ class MicroBatcher:
                               []).append(request)
         for (key, _shape), requests in groups.items():
             try:
-                with obs.span("serving.batch", requests=len(requests)):
-                    model = self._resolve(key)
-                    scores = model.forward(
-                        np.concatenate([r.x for r in requests], axis=0))
+                scores = self._forward(
+                    key, np.concatenate([r.x for r in requests], axis=0),
+                    len(requests))
             except Exception as error:
                 for request in requests:
                     self._resolve_future(request.future, error=error)
                 continue
-            if self.metrics is not None:
-                self.metrics.record_batch(len(scores))
             offset = 0
             for request in requests:
                 rows = scores[offset:offset + len(request.x)]

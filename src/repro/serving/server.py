@@ -242,31 +242,10 @@ class _Handler(BaseHTTPRequestHandler):
         if body is None:
             return
         try:
-            request = json.loads(body or b"{}")
-        except ValueError:
-            self._send_error_json(400, "body is not valid JSON")
-            return
-        if not isinstance(request, dict):
-            # valid JSON but not an object (e.g. a bare list) used to
-            # escape as an unhandled 500; malformed input is the
-            # client's fault and must say so
-            self._send_error_json(
-                400, f"body must be a JSON object, "
-                     f"got {type(request).__name__}")
-            return
-        name = request.get("model")
-        if not name:
-            self._send_error_json(400, "missing 'model'")
-            return
-        version = request.get("version")
-        try:
-            inputs = np.asarray(request.get("inputs"), dtype=np.float64)
-        except (TypeError, ValueError):
-            self._send_error_json(400, "'inputs' is not a numeric array")
-            return
-        if inputs.ndim not in (1, 2, 3, 4):
-            self._send_error_json(
-                400, f"'inputs' has unsupported rank {inputs.ndim}")
+            with obs.span("serving.parse", bytes=len(body)):
+                name, version, inputs = _parse_predict(body)
+        except ValueError as error:
+            self._send_error_json(400, str(error))
             return
         # the deadline bounds queue + compute, so it bounds the wait too
         timeout_s = self.server.batcher.settings.deadline_s or RESULT_TIMEOUT_S
@@ -277,9 +256,8 @@ class _Handler(BaseHTTPRequestHandler):
             with obs.span("serving.request", model=name,
                           samples=1 if inputs.ndim == 1 else len(inputs)):
                 entry = self.server.registry.entry(name, version)
-                future = self.server.batcher.submit((name, entry.version),
-                                                    inputs)
-                scores = future.result(timeout=timeout_s)
+                scores = self.server.batcher.predict(
+                    (name, entry.version), inputs, timeout=timeout_s)
         except KeyError as error:
             self._send_error_json(
                 404, str(error.args[0]) if error.args else str(error))
@@ -290,7 +268,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(503, str(error), retry_after_s=1)
             return
         except ResultTimeoutError:
-            future.cancel()             # the batcher skips it if still queued
+            # predict cancelled the queued request: the batcher skips it
             self.server.metrics.record_deadline_expired()
             self._send_error_json(
                 503, f"no result within {timeout_s * 1e3:.0f}ms; "
@@ -310,13 +288,40 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.metrics.record_request(
             model=entry.key, samples=len(scores), latency_s=latency,
             energy_nj=energy)
-        self._send_json({
-            "model": name,
-            "predictions": np.argmax(scores, axis=1).tolist(),
-            "scores": np.asarray(scores).tolist(),
-            "latency_ms": round(latency * 1e3, 3),
-            "energy_nj_est": energy,
-        })
+        with obs.span("serving.encode", samples=len(scores)):
+            payload = json.dumps({
+                "model": name,
+                "predictions": np.argmax(scores, axis=1).tolist(),
+                "scores": np.asarray(scores).tolist(),
+                "latency_ms": round(latency * 1e3, 3),
+                "energy_nj_est": energy,
+            }).encode()
+        self._respond(200, payload, "application/json")
+
+
+def _parse_predict(body: bytes) -> tuple[str, object, np.ndarray]:
+    """``(model, version, inputs)`` of a ``POST /predict`` body; a
+    ValueError says what is wrong with it (the handler's 400)."""
+    try:
+        request = json.loads(body or b"{}")
+    except ValueError:
+        raise ValueError("body is not valid JSON") from None
+    if not isinstance(request, dict):
+        # valid JSON but not an object (e.g. a bare list) used to
+        # escape as an unhandled 500; malformed input is the
+        # client's fault and must say so
+        raise ValueError(f"body must be a JSON object, "
+                         f"got {type(request).__name__}")
+    name = request.get("model")
+    if not name:
+        raise ValueError("missing 'model'")
+    try:
+        inputs = np.asarray(request.get("inputs"), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("'inputs' is not a numeric array") from None
+    if inputs.ndim not in (1, 2, 3, 4):
+        raise ValueError(f"'inputs' has unsupported rank {inputs.ndim}")
+    return name, request.get("version"), inputs
 
 
 # ----------------------------------------------------------------------

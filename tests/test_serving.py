@@ -5,16 +5,19 @@ import http.client
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 import zipfile
+from concurrent.futures import TimeoutError as ResultTimeoutError
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.asm.alphabet import ALPHA_1, ALPHA_2
 from repro.asm.constraints import WeightConstrainer
 from repro.asm.multiplier import AlphabetSetMultiplier, Multiplier
@@ -659,6 +662,179 @@ class TestOverloadHardening:
         for future in futures:
             assert np.array_equal(future.result(timeout=1.0),
                                   quantized.forward(x))
+
+
+# ----------------------------------------------------------------------
+# who runs a batch: the idle batcher's caller, or the worker
+# ----------------------------------------------------------------------
+class _ThreadRecordingModel:
+    """Delegating model that records the thread and row count of every
+    forward pass."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[tuple[threading.Thread, int]] = []
+
+    def forward(self, x):
+        self.calls.append((threading.current_thread(), len(x)))
+        return self.inner.forward(x)
+
+
+def _wait_for(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestInlinePredict:
+    def test_idle_batcher_runs_on_calling_thread(self, exported):
+        quantized, path = exported
+        model = _ThreadRecordingModel(CompiledModel.load(path))
+        metrics = ServingMetrics()
+        x = sample_batch(3)
+        with MicroBatcher(lambda key: model, metrics=metrics) as batcher:
+            scores = batcher.predict("digits", x)
+        assert np.array_equal(scores, quantized.forward(x))
+        assert model.calls == [(threading.current_thread(), 3)]
+        assert metrics.snapshot()["batches_total"] == 1
+
+    @pytest.mark.parametrize("settings", [
+        BatchSettings(max_latency_ms=1.0),
+        BatchSettings(deadline_s=5.0),
+        BatchSettings(max_queue_depth=4),
+    ], ids=["latency-window", "deadline", "queue-bound"])
+    def test_settings_that_need_the_queue_use_the_worker(self, exported,
+                                                         settings):
+        quantized, path = exported
+        model = _ThreadRecordingModel(CompiledModel.load(path))
+        x = sample_batch(2)
+        with MicroBatcher(lambda key: model, settings) as batcher:
+            scores = batcher.predict("digits", x)
+        assert np.array_equal(scores, quantized.forward(x))
+        assert [thread.name for thread, _ in model.calls] == \
+            ["repro-microbatcher"]
+
+    def test_request_already_queued_uses_the_worker(self, exported):
+        quantized, path = exported
+        gated = _GatedModel(CompiledModel.load(path))
+        model = _ThreadRecordingModel(gated)
+        x = sample_batch(1)
+        results = []
+        with MicroBatcher(lambda key: model) as batcher:
+            held = batcher.submit("digits", x)      # occupies the worker
+            assert gated.started.wait(timeout=10.0)
+            queued = batcher.submit("digits", x)    # waits behind it
+            caller = threading.Thread(
+                target=lambda: results.append(batcher.predict("digits", x)))
+            caller.start()
+            # the predict queued behind `queued` instead of running inline
+            _wait_for(lambda: batcher.queue_depth() == 2)
+            gated.gate.set()
+            caller.join(timeout=10.0)
+            for future in (held, queued):
+                future.result(timeout=10.0)
+        assert np.array_equal(results[0], quantized.forward(x))
+        assert {thread.name for thread, _ in model.calls} == \
+            {"repro-microbatcher"}
+        # `queued` and the predict rode one batch
+        assert [rows for _, rows in model.calls] == [1, 2]
+
+    def test_concurrent_inline_and_worker_passes_bit_identical(
+            self, exported):
+        _, path = exported
+        compiled = CompiledModel.load(path)
+        model = _ThreadRecordingModel(compiled)
+        sizes = (1, 3, 64)
+        inputs = {size: sample_batch(size) for size in sizes}
+        expected = {size: compiled.forward(inputs[size]) for size in sizes}
+        mismatches: list[tuple[int, int]] = []
+        start = threading.Barrier(8)
+
+        def client(batcher: MicroBatcher, index: int) -> None:
+            start.wait(timeout=10.0)
+            for call in range(25):
+                size = sizes[(index + call) % len(sizes)]
+                scores = batcher.predict("digits", inputs[size])
+                if (scores.dtype != expected[size].dtype
+                        or scores.tobytes() != expected[size].tobytes()):
+                    mismatches.append((index, call))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the clients finely
+        try:
+            with MicroBatcher(lambda key: model) as batcher:
+                threads = [threading.Thread(target=client,
+                                            args=(batcher, index))
+                           for index in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                # the in-progress count lost no update: idle again, the
+                # next predict runs on this thread
+                batcher.predict("digits", inputs[1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+        assert model.calls[-1] == (threading.current_thread(), 1)
+        # every request ran in exactly one forward pass
+        assert sum(rows for _, rows in model.calls[:-1]) == sum(
+            sizes[(index + call) % len(sizes)]
+            for index in range(8) for call in range(25))
+        # the first call found the batcher idle and ran inline; calls
+        # made while another was in progress went to the worker
+        assert {thread.name == "repro-microbatcher"
+                for thread, _ in model.calls} == {False, True}
+
+    def test_queued_predict_timeout_cancels_its_request(self, exported):
+        quantized, path = exported
+        gated = _GatedModel(CompiledModel.load(path))
+        model = _ThreadRecordingModel(gated)
+        x = sample_batch(1)
+        with MicroBatcher(lambda key: model) as batcher:
+            held = batcher.submit("digits", x)      # occupies the worker
+            assert gated.started.wait(timeout=10.0)
+            queued = batcher.submit("digits", x)
+            with pytest.raises(ResultTimeoutError):
+                batcher.predict("digits", sample_batch(3), timeout=0.05)
+            gated.gate.set()
+            for future in (held, queued):
+                future.result(timeout=10.0)
+            _wait_for(lambda: batcher.queue_depth() == 0)
+            # the batcher is idle again, so the next predict runs inline
+            scores = batcher.predict("digits", x)
+        assert np.array_equal(scores, quantized.forward(x))
+        # the timed-out 3-row request never reached a forward pass
+        assert [rows for _, rows in model.calls] == [1, 1, 1]
+        assert model.calls[-1][0] is threading.current_thread()
+
+    def test_traced_request_records_the_four_serving_spans(self, exported):
+        quantized, path = exported
+        registry = ModelRegistry()
+        registry.register(path, name="digits")
+        server = create_server(registry)
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        host, port = server.server_address[:2]
+        x = sample_batch(2)
+        obs.reset()
+        obs.enable()
+        try:
+            response = _post(f"http://{host}:{port}/predict",
+                             {"model": "digits", "inputs": x.tolist()})
+            roots = {span.name: span for span in obs.spans()}
+        finally:
+            obs.reset()
+            server.shutdown()
+            loop.join(timeout=5.0)
+        assert response["predictions"] == quantized.predict(x).tolist()
+        assert {"serving.parse", "serving.request",
+                "serving.encode"} <= set(roots)
+        # the idle batcher ran the batch inline, under the request span
+        assert [child.name for child in roots["serving.request"].children] \
+            == ["serving.batch"]
 
 
 @pytest.fixture
