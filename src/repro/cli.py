@@ -28,8 +28,10 @@ import os
 import sys
 
 from repro.faults.models import FAULT_KINDS
+from repro.kernels.registry import BACKEND_NAMES
 from repro.pipeline.config import (
     STAGE_NAMES,
+    Design,
     PipelineConfig,
     PipelineConfigError,
 )
@@ -426,8 +428,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("pipeline stages (repro run):")
     print("  " + ", ".join(STAGE_NAMES))
     print("designs:")
-    print("  conventional, asm1, asm2, asm4, asm8, mixed, "
-          "mixed:C1-C2-..., ladder")
+    print("  " + ", ".join(Design.FORMS))
     print("benchmarks:")
     for key, spec in BENCHMARKS.items():
         print(f"  {key:<10} {spec.description}")
@@ -477,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-dir", default=None,
                      help="stage cache root (overrides config.cache_dir)")
     run.add_argument("--backend", default=None,
-                     choices=("reference", "fast", "auto"),
+                     choices=BACKEND_NAMES,
                      help="kernel backend for every kernel family "
                           "(bit-identical; overrides config.backend)")
     run.add_argument("--no-resume", action="store_true",

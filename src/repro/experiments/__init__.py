@@ -33,7 +33,7 @@ from repro.experiments.power_area import (
 from repro.experiments.tables import format_table1, format_table4, format_table5
 from repro.explore.executor import run_pipeline_jobs
 from repro.hardware.report import format_table
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import Design, PipelineConfig
 from repro.pipeline.report import PipelineReport
 from repro.utils.serialization import write_json
 
@@ -85,7 +85,7 @@ def format_accuracy_table(report: PipelineReport, title: str) -> str:
     bits = f"{report.config.word_bits()} bits"
     rows = []
     for row in report.evaluate.rows:
-        conventional = row.design == "conventional"
+        conventional = not Design.parse(row.design).constrained
         rows.append([
             bits,
             "conventional NN" if conventional else row.label,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 
 from repro.explore.report import ExplorationReport
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import Design, PipelineConfig
 from repro.pipeline.pipeline import Pipeline
 from repro.serving.registry import ModelEntry, ModelRegistry
 
@@ -49,19 +49,19 @@ def register_frontier(report: ExplorationReport,
         cache_dir = report.cache_dir
     entries: list[ModelEntry] = []
     for record in report.frontier_records():
-        design = record["design"]
-        if design == "conventional":
+        design = Design.parse(record["design"])
+        if not design.constrained:
             continue
         config = PipelineConfig.from_dict(record["config"])
         config = config.with_overrides(
             stages=(*config.stages, "export"),
-            export_design=design,
+            export_design=design.token,
             export_dir=os.path.join(export_dir,
                                     record["config_digest"][:12]),
             cache_dir=cache_dir)
         pipeline_report = Pipeline(config).run(verbose=verbose)
         export = pipeline_report.require("export")
-        name = f"{config.app}-{design.replace(':', '_')}"
+        name = f"{config.app}-{design.path_name}"
         entry = registry.register(export.path, name=name)
         if verbose:
             print(f"[registry] {entry.key} <- {export.path}")

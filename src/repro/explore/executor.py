@@ -170,7 +170,7 @@ def evaluate_candidate(config: PipelineConfig,
         "label": eval_row.label,
         "metrics": metrics_from_report(report, design),
     }
-    if design != "conventional":
+    if config.parsed_designs[0].constrained:
         outcome = report.require("constrain").outcome_for(design)
         record["retrain_epochs"] = outcome.epochs
         if outcome.chosen_alphabets is not None:

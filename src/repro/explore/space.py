@@ -19,17 +19,21 @@ so a space has no backend axis.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.datasets.registry import BENCHMARKS
 from repro.explore.pareto import resolve_objectives
 from repro.pipeline.config import (
     DESIGN_COUNTS,
     Budget,
+    Design,
     PipelineConfig,
     PipelineConfigError,
-    parse_design,
+    _budget_from_dict,
+    _coerce_json_fields,
+    _from_mapping,
 )
 
 __all__ = ["SearchSpaceError", "SearchSpace"]
@@ -78,16 +82,10 @@ class SearchSpace:
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        for field_name in ("designs", "bits", "budgets", "seeds",
-                           "qualities", "constraint_modes",
-                           "sensitivity_counts", "objectives",
-                           "fault_rates"):
-            value = getattr(self, field_name)
-            if isinstance(value, list):
-                object.__setattr__(self, field_name, tuple(value))
+        _coerce_json_fields(self, SearchSpaceError)
         # TOML has no null: 0 means "the benchmark's Table IV width"
         object.__setattr__(self, "bits", tuple(
-            None if b in (0, None) else int(b) for b in self.bits))
+            None if b == 0 else b for b in self.bits))
         object.__setattr__(self, "budgets", tuple(
             _coerce_budget(b) for b in self.budgets))
         if not self.name:
@@ -162,28 +160,20 @@ class SearchSpace:
         seen: set[str] = set()
         out: list[PipelineConfig] = []
         for design in self.designs:
-            kind = parse_design(design)
-            for bits in self.bits:
-                for budget in self.budgets:
-                    for seed in self.seeds:
-                        for mode in self.constraint_modes:
-                            for quality in self.qualities:
-                                if kind is None:
-                                    mode_c = self.constraint_modes[0]
-                                    quality_c = self.qualities[0]
-                                elif kind != "ladder":
-                                    mode_c, quality_c = \
-                                        mode, self.qualities[0]
-                                else:
-                                    mode_c, quality_c = mode, quality
-                                config = self.candidate(
-                                    design, bits, budget, seed,
-                                    quality_c, mode_c, cache_dir)
-                                digest = config.digest()
-                                if digest in seen:
-                                    continue
-                                seen.add(digest)
-                                out.append(config)
+            parsed = Design.parse(design)
+            for bits, budget, seed, mode, quality in itertools.product(
+                    self.bits, self.budgets, self.seeds,
+                    self.constraint_modes, self.qualities):
+                if not parsed.constrained:
+                    mode = self.constraint_modes[0]
+                if not parsed.is_ladder:
+                    quality = self.qualities[0]
+                config = self.candidate(design, bits, budget, seed,
+                                        quality, mode, cache_dir)
+                digest = config.digest()
+                if digest not in seen:
+                    seen.add(digest)
+                    out.append(config)
         if self.max_candidates is not None:
             out = out[:self.max_candidates]
         return tuple(out)
@@ -193,16 +183,7 @@ class SearchSpace:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpace":
-        if not isinstance(data, dict):
-            raise SearchSpaceError(
-                f"search space must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise SearchSpaceError(
-                f"unknown search-space key(s): {', '.join(unknown)}; "
-                f"known keys: {', '.join(sorted(known))}")
-        return cls(**data)
+        return _from_mapping(cls, data, SearchSpaceError, "search space")
 
     def to_dict(self) -> dict:
         return {
@@ -210,11 +191,8 @@ class SearchSpace:
             "name": self.name,
             "designs": list(self.designs),
             "bits": [0 if b is None else b for b in self.bits],
-            "budgets": [b if isinstance(b, str) else {
-                "name": b.name, "n_train": b.n_train, "n_test": b.n_test,
-                "max_epochs": b.max_epochs,
-                "retrain_epochs": b.retrain_epochs,
-            } for b in self.budgets],
+            "budgets": [b if isinstance(b, str) else dict(vars(b))
+                        for b in self.budgets],
             "seeds": list(self.seeds),
             "qualities": list(self.qualities),
             "constraint_modes": list(self.constraint_modes),
@@ -246,22 +224,11 @@ class SearchSpace:
 
 
 def _coerce_budget(value) -> str | Budget:
-    if isinstance(value, (str, Budget)):
-        if isinstance(value, str) and value not in ("quick", "full"):
-            raise SearchSpaceError(
-                f"unknown budget tier {value!r}; choose from "
-                f"['full', 'quick'] or give an inline budget table")
-        return value
-    if isinstance(value, dict):
-        try:
-            return Budget(name=str(value.get("name", "custom")),
-                          n_train=int(value["n_train"]),
-                          n_test=int(value["n_test"]),
-                          max_epochs=int(value["max_epochs"]),
-                          retrain_epochs=int(value["retrain_epochs"]))
-        except KeyError as error:
-            raise SearchSpaceError(
-                f"budget table is missing key {error.args[0]!r}") from None
-    raise SearchSpaceError(
-        f"budget must be a tier name or a budget table, "
-        f"got {type(value).__name__}")
+    if isinstance(value, str) and value not in ("quick", "full"):
+        raise SearchSpaceError(
+            f"unknown budget tier {value!r}; choose from "
+            f"['full', 'quick'] or give an inline budget table")
+    try:
+        return _budget_from_dict(value) if isinstance(value, dict) else value
+    except PipelineConfigError as error:
+        raise SearchSpaceError(str(error)) from None

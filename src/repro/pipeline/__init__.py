@@ -20,11 +20,10 @@ from repro.pipeline.config import (
     STAGE_NAMES,
     TRAIN_SETTINGS,
     Budget,
+    Design,
     PipelineConfig,
     PipelineConfigError,
     budget,
-    is_plan_design,
-    parse_design,
 )
 from repro.pipeline.pipeline import Pipeline, run_pipeline
 from repro.pipeline.report import PipelineReport, format_report
@@ -41,8 +40,7 @@ from repro.pipeline.stages import (
 )
 
 __all__ = [
-    "PipelineConfig", "PipelineConfigError", "STAGE_NAMES", "parse_design",
-    "is_plan_design",
+    "PipelineConfig", "PipelineConfigError", "STAGE_NAMES", "Design",
     "Budget", "QUICK", "budget", "TRAIN_SETTINGS",
     "Pipeline", "run_pipeline",
     "PipelineReport", "format_report",

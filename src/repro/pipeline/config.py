@@ -7,27 +7,8 @@ It is frozen, validated on construction, loadable from a dict / JSON /
 TOML file and round-trippable (``from_dict(cfg.to_dict()) == cfg``), so
 new scenarios are a config file, not a new driver module.
 
-Design tokens
--------------
-``"conventional"``
-    Exact multiplier, no constraining (the baseline row of Tables II/III).
-``"asm1" / "asm2" / "asm4" / "asm8"``
-    Uniform N-alphabet MAN: constrained retraining under the standard
-    alphabet set, deployed on the ASM engine.
-``"mixed"``
-    The paper's §VI.E per-layer plan ({1} early, {1,3}/{1,3,5,7} in the
-    concluding layers) — available for the benchmarks Fig. 11 covers.
-``"mixed:C1-C2-..."``
-    A *custom* per-layer plan: one alphabet count per parameterised layer
-    (``0`` keeps that layer on the exact conventional multiplier, any
-    other count must have a standard set).  ``mixed:1-0`` deploys a MAN
-    in the first layer and leaves the second exact.  The count list
-    length is checked against the model at stage time; this is the
-    vocabulary the design-space explorer's sensitivity-guided search
-    emits.
-``"ladder"``
-    Algorithm 2's quality ladder: escalate through ``ladder`` counts until
-    accuracy ``K >= J * quality``.
+Each design token names one :class:`Design`, the neuron design a run
+deploys; ``docs/pipeline.md`` tabulates the vocabulary.
 
 This module is also the home of the training *budget tiers*
 (``quick`` / ``full``) and the per-benchmark optimiser settings.
@@ -35,20 +16,26 @@ This module is also the home of the training *budget tiers*
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import ClassVar
 
+from repro.asm.alphabet import AlphabetSet, standard_set
+from repro.asm.multiplier import CONVENTIONAL, Multiplier
 from repro.datasets.registry import BENCHMARKS
+from repro.faults.models import FAULT_KINDS
 from repro.kernels.evaluate import DEFAULT_EVAL_BATCH
 from repro.kernels.registry import BACKEND_NAMES
+from repro.training.mixed import MIXED_PLAN_APPS, paper_mixed_plan
 
 __all__ = [
     "Budget", "QUICK", "budget", "TRAIN_SETTINGS",
     "PipelineConfigError", "PipelineConfig",
-    "STAGE_NAMES", "DESIGN_COUNTS", "parse_design", "is_plan_design",
+    "STAGE_NAMES", "DESIGN_COUNTS", "Design",
 ]
 
 
@@ -111,49 +98,130 @@ class PipelineConfigError(ValueError):
     """Invalid pipeline configuration (bad value or unknown key)."""
 
 
-def parse_design(design: str) -> int | str | tuple[int, ...] | None:
-    """Classify a design token.
+@dataclass(frozen=True)
+class Design:
+    """One parsed design token (:meth:`parse` is the one parser).
 
-    Returns ``None`` for ``"conventional"``, the alphabet count for
-    ``"asmN"``, the token itself for ``"mixed"`` / ``"ladder"``, or the
-    per-layer count tuple for a custom ``"mixed:C1-C2-..."`` plan
-    (``0`` entries mean "leave this layer conventional").
+    ``kind`` is ``conventional`` (the exact multiplier), ``asm``
+    (``asmN``, the uniform N-alphabet ASM; the MAN is ``asm1``),
+    ``mixed`` (the paper's §VI.E per-layer plan), ``plan`` (a custom
+    ``mixed:C1-C2-...``, one count per parameterised layer, ``0`` =
+    exact) or ``ladder`` (Algorithm 2's quality ladder).  ``counts`` is
+    ``(N,)`` for ``asmN``, ``(0,)`` for conventional, a plan's counts.
     """
-    if design == "conventional":
-        return None
-    if design in ("mixed", "ladder"):
-        return design
-    match = _ASM_RE.match(design)
+
+    token: str
+    kind: str
+    counts: tuple[int, ...] = ()
+
+    #: the token forms, as parse errors and ``repro list`` name them
+    FORMS: ClassVar[tuple[str, ...]] = (
+        "conventional", *(f"asm{count}" for count in DESIGN_COUNTS),
+        "mixed", "mixed:C1-C2-...", "ladder")
+
+    @classmethod
+    def parse(cls, token: str) -> "Design":
+        """The design *token* names (memoized per token)."""
+        if not isinstance(token, str):
+            raise PipelineConfigError(
+                f"design tokens must be strings, got {token!r}")
+        return _parse_design(token)
+
+    @property
+    def constrained(self) -> bool:
+        """Whether the ``constrain`` stage retrains this design (every
+        design but the conventional baseline)."""
+        return self.kind != "conventional"
+
+    @property
+    def is_ladder(self) -> bool:
+        return self.kind == "ladder"
+
+    @property
+    def per_layer(self) -> bool:
+        """Whether the design is a per-layer plan (lowered layer by layer
+        over a conventional base spec)."""
+        return self.kind in ("mixed", "plan")
+
+    @property
+    def path_name(self) -> str:
+        """The token as a path component (``:`` is not portable)."""
+        return self.token.replace(":", "_")
+
+    def check_app(self, app: str) -> None:
+        """Reject an *app* this design cannot deploy on."""
+        if self.kind == "mixed" and app not in MIXED_PLAN_APPS:
+            raise PipelineConfigError(
+                f"app {app!r} has no §VI.E 'mixed' plan; "
+                f"choose from {MIXED_PLAN_APPS}")
+
+    def plan(self, app: str, model,
+             chosen: AlphabetSet | None = None) -> list[Multiplier]:
+        """The multiplier of each parameterised layer of *model*; a
+        ladder deploys *chosen*, the set its ``constrain`` picked.
+        Raises :class:`ValueError` when neither fits."""
+        n_layers = len(model.trainable_layers)
+        if self.kind == "mixed":
+            return [Multiplier(aset) for aset in paper_mixed_plan(app, model)]
+        if self.kind == "plan":
+            if len(self.counts) != n_layers:
+                raise ValueError(
+                    f"design {self.token!r} gives {len(self.counts)} layer "
+                    f"counts but {app!r} has {n_layers} parameterised "
+                    f"layers")
+            return [_multiplier(count) for count in self.counts]
+        if self.is_ladder:
+            if chosen is None:
+                raise ValueError(
+                    "ladder design not resolved yet - run 'constrain'")
+            return [Multiplier(chosen)] * n_layers
+        return [_multiplier(self.counts[0])] * n_layers
+
+    def label(self, plan: list[Multiplier]) -> str:
+        """The evaluation label of this design deployed as *plan*."""
+        if self.per_layer:
+            return "mixed(" + ",".join(m.label("exact") for m in plan) + ")"
+        label = plan[0].label(asm="{count} {set}")
+        return f"ladder {label}" if self.is_ladder else label
+
+
+def _multiplier(count: int) -> Multiplier:
+    return Multiplier(standard_set(count)) if count else CONVENTIONAL
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_design(token: str) -> Design:
+    if token == "conventional":
+        return Design(token, "conventional", (0,))
+    if token in ("mixed", "ladder"):
+        return Design(token, token)
+    match = _ASM_RE.match(token)
     if match and int(match.group(1)) in DESIGN_COUNTS:
-        return int(match.group(1))
-    match = _PLAN_RE.match(design)
+        return Design(token, "asm", (int(match.group(1)),))
+    match = _PLAN_RE.match(token)
     if match:
         counts = tuple(int(c) for c in match.group(1).split("-"))
         for count in counts:
             if count != 0 and count not in DESIGN_COUNTS:
                 raise PipelineConfigError(
-                    f"design {design!r}: layer count {count} has no "
+                    f"design {token!r}: layer count {count} has no "
                     f"standard alphabet set (choose from {DESIGN_COUNTS}, "
                     f"or 0 for a conventional layer)")
         if not any(counts):
             raise PipelineConfigError(
-                f"design {design!r} constrains no layer; use "
+                f"design {token!r} constrains no layer; use "
                 f"'conventional' instead")
-        return counts
+        return Design(token, "plan", counts)
     raise PipelineConfigError(
-        f"unknown design {design!r}; expected 'conventional', "
-        f"'asmN' (N in {DESIGN_COUNTS}), 'mixed', 'mixed:C1-C2-...' "
-        f"or 'ladder'")
-
-
-def is_plan_design(kind) -> bool:
-    """True when :func:`parse_design` returned a per-layer plan kind."""
-    return kind == "mixed" or isinstance(kind, tuple)
+        f"unknown design {token!r}; expected one of "
+        f"{', '.join(Design.FORMS)}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one pipeline run needs, declaratively."""
+    """Everything one pipeline run needs, declaratively; validation
+    parses ``designs`` into ``parsed_designs``, one :class:`Design` each.
+    """
 
     app: str
     bits: int | None = None            # None -> the benchmark's Table IV width
@@ -193,10 +261,7 @@ class PipelineConfig:
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        for name in ("designs", "stages", "ladder", "fault_rates"):
-            value = getattr(self, name)
-            if isinstance(value, list):
-                object.__setattr__(self, name, tuple(value))
+        _coerce_json_fields(self, PipelineConfigError)
         if isinstance(self.budget, dict):
             object.__setattr__(self, "budget", _budget_from_dict(self.budget))
         self._validate()
@@ -211,14 +276,12 @@ class PipelineConfig:
             raise PipelineConfigError("designs must not be empty")
         if len(set(self.designs)) != len(self.designs):
             raise PipelineConfigError(f"duplicate designs in {self.designs}")
-        for design in self.designs:
-            parse_design(design)
-        if "mixed" in self.designs:
-            from repro.training.mixed import MIXED_PLAN_APPS
-            if self.app not in MIXED_PLAN_APPS:
-                raise PipelineConfigError(
-                    f"app {self.app!r} has no §VI.E 'mixed' plan; "
-                    f"choose from {MIXED_PLAN_APPS}")
+        parsed = tuple(map(Design.parse, self.designs))
+        for design in parsed:
+            design.check_app(self.app)
+        # not a field: the tokens are what round-trips and what the
+        # digest and the stage keys hash
+        object.__setattr__(self, "parsed_designs", parsed)
         if not self.stages:
             raise PipelineConfigError("stages must not be empty")
         for stage in self.stages:
@@ -232,10 +295,6 @@ class PipelineConfig:
                 raise PipelineConfigError(
                     f"unknown budget tier {self.budget!r}; choose from "
                     f"{sorted(_TIERS)} or give an inline budget table")
-        elif not isinstance(self.budget, Budget):
-            raise PipelineConfigError(
-                f"budget must be a tier name or a budget table, "
-                f"got {type(self.budget).__name__}")
         if self.constraint_mode not in ("greedy", "nearest"):
             raise PipelineConfigError(
                 f"constraint_mode must be 'greedy' or 'nearest', "
@@ -260,7 +319,6 @@ class PipelineConfig:
         if self.sim_samples < 0:
             raise PipelineConfigError(
                 f"sim_samples must be >= 0, got {self.sim_samples}")
-        from repro.faults.models import FAULT_KINDS
         if self.fault_kind not in FAULT_KINDS:
             raise PipelineConfigError(
                 f"unknown fault_kind {self.fault_kind!r}; choose from "
@@ -280,7 +338,7 @@ class PipelineConfig:
                 raise PipelineConfigError(
                     f"export_design {self.export_design!r} is not one of "
                     f"the configured designs {self.designs}")
-            if self.export_design == "conventional":
+            if not Design.parse(self.export_design).constrained:
                 raise PipelineConfigError(
                     "export_design must name an ASM design, not "
                     "'conventional'")
@@ -308,9 +366,9 @@ class PipelineConfig:
         """The design :mod:`~repro.pipeline.stages` exports."""
         if self.export_design is not None:
             return self.export_design
-        for design in self.designs:
-            if design != "conventional":
-                return design
+        for design in self.parsed_designs:
+            if design.constrained:
+                return design.token
         raise PipelineConfigError(
             "no exportable design: every configured design is "
             "'conventional'")
@@ -321,16 +379,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         """Build a config from a plain mapping; unknown keys are errors."""
-        if not isinstance(data, dict):
-            raise PipelineConfigError(
-                f"config must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise PipelineConfigError(
-                f"unknown config key(s): {', '.join(unknown)}; "
-                f"known keys: {', '.join(sorted(known))}")
-        return cls(**data)
+        return _from_mapping(cls, data, PipelineConfigError, "config")
 
     def to_dict(self) -> dict:
         """Plain-builtin mapping; ``from_dict`` inverts it exactly."""
@@ -339,13 +388,8 @@ class PipelineConfig:
             "bits": self.bits,
             "designs": list(self.designs),
             "stages": list(self.stages),
-            "budget": self.budget if isinstance(self.budget, str) else {
-                "name": self.budget.name,
-                "n_train": self.budget.n_train,
-                "n_test": self.budget.n_test,
-                "max_epochs": self.budget.max_epochs,
-                "retrain_epochs": self.budget.retrain_epochs,
-            },
+            "budget": self.budget if isinstance(self.budget, str)
+            else dict(vars(self.budget)),      # the fields, in order
             "seed": self.seed,
             "constraint_mode": self.constraint_mode,
             "quality": self.quality,
@@ -412,18 +456,71 @@ class PipelineConfig:
         return replace(self, **changes)
 
 
-def _budget_from_dict(data: dict) -> Budget:
-    known = {f.name for f in fields(Budget)}
+#: what each field annotation accepts from JSON, and its name in errors;
+#: a ``tuple[X, ...]`` field is a list of ``X`` entries
+_JSON_TYPES = {
+    "str": ("a string", (str,)), "int": ("an integer", (int,)),
+    "float": ("a number", (int, float)),
+    "str | None": ("a string or null", (str, type(None))),
+    "int | None": ("an integer or null", (int, type(None))),
+    "str | Budget": ("a tier name or a budget table", (str, dict, Budget)),
+}
+
+
+@functools.cache
+def _field_types(cls) -> tuple:
+    """``(name, is_list, type name, types, exact types)`` of each field
+    of *cls*; the exact types are a fast path (they never hold bool)."""
+    out = []
+    for field in fields(cls):
+        is_list = field.type.startswith("tuple[")
+        name, types = _JSON_TYPES[field.type[6:-6] if is_list else field.type]
+        out.append((field.name, is_list, name, types, frozenset(types)))
+    return tuple(out)
+
+
+def _coerce_json_fields(obj, error: type) -> None:
+    """Turn the list fields of the dataclass *obj* into tuples, and raise
+    *error* naming the first field whose value (or entry) is not of its
+    annotated type; ``bool`` is no number here."""
+    for name, is_list, type_name, types, exact in _field_types(type(obj)):
+        value = getattr(obj, name)
+        if not is_list:
+            if type(value) not in exact and (
+                    type(value) is bool or not isinstance(value, types)):
+                raise error(f"{name} must be {type_name}, got {value!r}")
+            continue
+        if type(value) is not tuple:
+            if not isinstance(value, list):
+                raise error(f"{name} must be a list, got {value!r}")
+            value = tuple(value)
+            object.__setattr__(obj, name, value)
+        for entry in value:
+            if type(entry) not in exact and (
+                    type(entry) is bool or not isinstance(entry, types)):
+                raise error(
+                    f"{name} entries must be {type_name}, got {entry!r}")
+
+
+def _from_mapping(cls, data, error: type, noun: str):
+    """``cls(**data)`` for the plain mapping *data*; a non-mapping, an
+    unknown key or a missing required key raises *error*."""
+    if not isinstance(data, dict):
+        raise error(f"{noun} must be a mapping, got {type(data).__name__}")
+    known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
-        raise PipelineConfigError(
-            f"unknown budget key(s): {', '.join(unknown)}; "
-            f"known keys: {', '.join(sorted(known))}")
-    missing = sorted(known - {"name"} - set(data))
+        raise error(f"unknown {noun} key(s): {', '.join(unknown)}; "
+                    f"known keys: {', '.join(sorted(known))}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in data]
     if missing:
-        raise PipelineConfigError(
-            f"budget table is missing key(s): {', '.join(missing)}")
-    return Budget(name=str(data.get("name", "custom")),
-                  n_train=int(data["n_train"]), n_test=int(data["n_test"]),
-                  max_epochs=int(data["max_epochs"]),
-                  retrain_epochs=int(data["retrain_epochs"]))
+        raise error(f"{noun} is missing key(s): {', '.join(missing)}")
+    return cls(**data)
+
+
+def _budget_from_dict(data: dict) -> Budget:
+    budget = _from_mapping(Budget, {"name": "custom", **data},
+                           PipelineConfigError, "budget table")
+    _coerce_json_fields(budget, PipelineConfigError)
+    return budget

@@ -79,9 +79,9 @@ class Pipeline:
     # ------------------------------------------------------------------
     def _requires(self, stage: str) -> tuple[str, ...]:
         """Prerequisite stages of *stage* under this config."""
-        designs = self.config.designs
-        has_asm = any(d != "conventional" for d in designs)
-        has_ladder = "ladder" in designs
+        designs = self.config.parsed_designs
+        has_asm = any(d.constrained for d in designs)
+        has_ladder = any(d.is_ladder for d in designs)
         if stage == "train":
             return ()
         if stage == "quantize":
@@ -90,7 +90,7 @@ class Pipeline:
             return ("train", "quantize") if has_ladder else ("train",)
         if stage == "evaluate":
             needs: list[str] = []
-            if "conventional" in designs:
+            if not all(d.constrained for d in designs):
                 needs.append("quantize")
             if has_asm:
                 needs.append("constrain")
@@ -155,16 +155,11 @@ class Pipeline:
         result.  ``cache_dir`` is location, not content.
         """
         cfg = self.config
-        tier = cfg.tier()
         deps: dict = {
             "app": cfg.app,
             "bits": cfg.word_bits(),
             "seed": cfg.seed,
-            "budget": {
-                "name": tier.name, "n_train": tier.n_train,
-                "n_test": tier.n_test, "max_epochs": tier.max_epochs,
-                "retrain_epochs": tier.retrain_epochs,
-            },
+            "budget": dict(vars(cfg.tier())),
         }
         if stage in ("train", "quantize"):
             return deps
@@ -175,8 +170,8 @@ class Pipeline:
         if stage == "constrain":
             # conventional has no constrain outcome; its presence in the
             # design list must not split the cache
-            deps["designs"] = [d for d in cfg.designs
-                               if d != "conventional"]
+            deps["designs"] = [d.token for d in cfg.parsed_designs
+                               if d.constrained]
             return deps
         if stage == "faults":
             deps["designs"] = list(cfg.designs)
@@ -248,8 +243,8 @@ class Pipeline:
             if payload is not None:
                 designs = [o["design"] for o in payload["outcomes"]]
             else:
-                designs = [d for d in ctx.config.designs
-                           if d != "conventional"]
+                designs = [d.token for d in ctx.config.parsed_designs
+                           if d.constrained]
             return {design: os.path.join(
                         stage_dir, f"state-{_design_tag(design)}.npz")
                     for design in designs}

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from repro.hardware.report import format_table
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import STAGE_NAMES, PipelineConfig
 from repro.pipeline.stages import (
     ConstrainResult,
     EnergyResult,
@@ -28,16 +28,7 @@ from repro.utils.serialization import to_jsonable, write_json
 __all__ = ["PipelineReport", "STAGE_ATTRS", "format_report"]
 
 #: Stage name -> report attribute.
-STAGE_ATTRS = {
-    "train": "train",
-    "quantize": "quantize",
-    "constrain": "constrain",
-    "evaluate": "evaluate",
-    "faults": "faults",
-    "energy": "energy",
-    "export": "export",
-    "serve-check": "serve_check",
-}
+STAGE_ATTRS = {name: name.replace("-", "_") for name in STAGE_NAMES}
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,7 @@ def format_report(report: PipelineReport) -> str:
              "Injected"], rows,
             title=f"Stage: faults ({report.faults.kind}, "
                   f"seed {report.faults.seed})")
-        if "conventional" in config.designs:
+        if not all(d.constrained for d in config.parsed_designs):
             section += ("\nworst excess degradation vs conventional: "
                         f"{report.faults.worst_excess_degradation_pp():+.2f}"
                         " pp")

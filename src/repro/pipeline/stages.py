@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.asm.alphabet import AlphabetSet, standard_set
-from repro.asm.multiplier import CONVENTIONAL, Multiplier
+from repro.asm.multiplier import Multiplier
 from repro.datasets.base import Dataset
 from repro.datasets.registry import BENCHMARKS, build_model, load_dataset, \
     training_arrays
@@ -33,10 +33,8 @@ from repro.hardware.engine import ProcessingEngine
 from repro.nn.optim import SGD
 from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
 from repro.nn.trainer import Trainer
-from repro.pipeline.config import PipelineConfig, is_plan_design, \
-    parse_design
+from repro.pipeline.config import Design, PipelineConfig
 from repro.training.constrained import ConstraintProjector, constrained_trainer
-from repro.training.mixed import paper_mixed_plan
 
 __all__ = [
     "PipelineContext", "StageError",
@@ -60,6 +58,14 @@ class StageError(RuntimeError):
 # ----------------------------------------------------------------------
 # typed stage results
 # ----------------------------------------------------------------------
+def _for_design(items, design: str, noun: str):
+    """The first of *items* recorded for the *design* token."""
+    for item in items:
+        if item.design == design:
+            return item
+    raise KeyError(f"no {noun} for design {design!r}")
+
+
 @dataclass(frozen=True)
 class TrainResult:
     """Unconstrained training to saturation (Algorithm 2 step 1)."""
@@ -100,10 +106,7 @@ class ConstrainResult:
     outcomes: tuple[DesignOutcome, ...]
 
     def outcome_for(self, design: str) -> DesignOutcome:
-        for outcome in self.outcomes:
-            if outcome.design == design:
-                return outcome
-        raise KeyError(f"no constrain outcome for design {design!r}")
+        return _for_design(self.outcomes, design, "constrain outcome")
 
 
 @dataclass(frozen=True)
@@ -121,10 +124,7 @@ class EvaluateResult:
     rows: tuple[EvaluationRow, ...]
 
     def row_for(self, design: str) -> EvaluationRow:
-        for row in self.rows:
-            if row.design == design:
-                return row
-        raise KeyError(f"no evaluation row for design {design!r}")
+        return _for_design(self.rows, design, "evaluation row")
 
 
 @dataclass(frozen=True)
@@ -154,10 +154,10 @@ class FaultsResult:
         conventional rows): 0.0 means no design degrades worse than the
         conventional deployment."""
         conventional = {row.rate: row.degradation for row in self.rows
-                        if row.design == "conventional"}
+                        if not Design.parse(row.design).constrained}
         return max([0.0] + [(row.degradation - conventional[row.rate])
                             * 100.0 for row in self.rows
-                            if row.design != "conventional"
+                            if Design.parse(row.design).constrained
                             and row.rate in conventional])
 
 
@@ -186,10 +186,7 @@ class EnergyResult:
     rows: tuple[EnergyDesignRow, ...]
 
     def row_for(self, design: str) -> EnergyDesignRow:
-        for row in self.rows:
-            if row.design == design:
-                return row
-        raise KeyError(f"no energy row for design {design!r}")
+        return _for_design(self.rows, design, "energy row")
 
 
 @dataclass(frozen=True)
@@ -285,92 +282,47 @@ class PipelineContext:
         return training_arrays(self.dataset, self.bench)
 
     # ------------------------------------------------------------------
-    def design_set(self, design: str) -> Multiplier:
-        """The uniform multiplier of *design*.
-
-        ``mixed`` has no uniform set (use :meth:`design_plan`); ``ladder``
-        resolves to the set chosen during the ``constrain`` stage.
-        """
-        kind = parse_design(design)
-        if kind is None:
-            return CONVENTIONAL
-        if is_plan_design(kind):
-            raise StageError(
-                f"{design!r} has a per-layer plan, not one set")
-        if kind == "ladder":
-            if design not in self.chosen_sets:
-                raise StageError(
-                    "ladder design not resolved yet - run 'constrain'")
-            return Multiplier(self.chosen_sets[design])
-        return Multiplier(standard_set(kind))
-
-    def design_plan(self, design: str) -> list[Multiplier]:
-        """Per-parameterised-layer multiplier plan of *design*."""
-        n_layers = len(self.model.trainable_layers)
-        kind = parse_design(design)
-        if kind == "mixed":
-            return [Multiplier(aset) for aset in
-                    paper_mixed_plan(self.config.app, self.model)]
-        if isinstance(kind, tuple):            # custom mixed:C1-C2-... plan
-            if len(kind) != n_layers:
-                raise StageError(
-                    f"design {design!r} gives {len(kind)} layer counts but "
-                    f"{self.config.app!r} has {n_layers} parameterised "
-                    f"layers")
-            return [CONVENTIONAL if count == 0 else
-                    Multiplier(standard_set(count)) for count in kind]
-        return [self.design_set(design)] * n_layers
-
-    def require_design_state(self, design: str) -> list:
+    def plan(self, design: Design) -> list[Multiplier]:
+        """Per-parameterised-layer multiplier plan of *design*; a ladder
+        deploys the set chosen during the ``constrain`` stage."""
         try:
-            return self.design_states[design]
-        except KeyError:
-            raise StageError(
-                f"no retrained weights for design {design!r} - "
-                f"run 'constrain' first") from None
+            return design.plan(self.config.app, self.model,
+                               self.chosen_sets.get(design.token))
+        except ValueError as error:
+            raise StageError(str(error)) from None
 
-    def conventional_quantized(self) -> QuantizedNetwork:
-        """The conventional-engine lowering of the trained weights
-        (memoized; shared by ``quantize`` and the simulated energy
-        traces — weights are folded at construction, so later model
-        state changes cannot stale it)."""
-        if "conventional" not in self._quantized:
-            if self.train_state is None:
-                raise StageError(
-                    "the conventional deployment needs 'train' to have run")
-            model = self.model
-            model.load_state(self.train_state)
-            self._quantized["conventional"] = QuantizedNetwork.from_float(
-                model, QuantizationSpec(self.bits),
-                backend=self.config.backend)
-        return self._quantized["conventional"]
+    def design_state(self, design: Design) -> list:
+        """The weights *design* deploys: the trained restore point for
+        conventional, else the design's retrained state."""
+        state = self.design_states.get(design.token) \
+            if design.constrained else self.train_state
+        if state is None:
+            stage = "constrain" if design.constrained else "train"
+            raise StageError(f"no weights for design {design.token!r} - "
+                             f"run {stage!r} first")
+        return state
 
-    def design_quantized(self, design: str) -> QuantizedNetwork:
-        """The deployable quantised network of *design* (memoized).
+    def design_quantized(self, design: Design) -> QuantizedNetwork:
+        """The deployable quantised network of *design* (memoized;
+        weights are folded at construction, so later model state changes
+        cannot stale it).
 
         Runs on the config's kernel ``backend`` — bit-identical across
         backends, so only evaluation speed changes.
         """
-        if design in self._quantized:
-            return self._quantized[design]
+        if design.token in self._quantized:
+            return self._quantized[design.token]
         model = self.model
-        model.load_state(self.require_design_state(design))
-        bits = self.bits
-        mode = self.config.constraint_mode
-        backend = self.config.backend
-        if is_plan_design(parse_design(design)):
-            layer_specs = [
-                QuantizationSpec.constrained(bits, multiplier, mode=mode)
-                for multiplier in self.design_plan(design)]
-            quantized = QuantizedNetwork.from_float(
-                model, QuantizationSpec(bits), layer_specs=layer_specs,
-                backend=backend)
-        else:
-            quantized = QuantizedNetwork.from_float(
-                model, QuantizationSpec.constrained(
-                    bits, self.design_set(design), mode=mode),
-                backend=backend)
-        self._quantized[design] = quantized
+        model.load_state(self.design_state(design))
+        specs = [QuantizationSpec.constrained(
+                     self.bits, multiplier, mode=self.config.constraint_mode)
+                 for multiplier in self.plan(design)]
+        # a per-layer plan lowers over the conventional base spec
+        base, layer_specs = (QuantizationSpec(self.bits), specs) \
+            if design.per_layer else (specs[0], None)
+        quantized = QuantizedNetwork.from_float(
+            model, base, layer_specs=layer_specs, backend=self.config.backend)
+        self._quantized[design.token] = quantized
         return quantized
 
 
@@ -400,7 +352,7 @@ def stage_quantize(ctx: PipelineContext) -> QuantizeResult:
     if ctx.train_state is None:
         raise StageError("'quantize' needs 'train' to have run")
     _, x_test = ctx.arrays()
-    baseline = ctx.conventional_quantized().accuracy(
+    baseline = ctx.design_quantized(Design.parse("conventional")).accuracy(
         x_test, ctx.dataset.y_test,
         batch_size=ctx.config.eval_batch_size)
     return QuantizeResult(bits=ctx.bits, baseline_accuracy=baseline)
@@ -411,22 +363,22 @@ def stage_constrain(ctx: PipelineContext) -> ConstrainResult:
     if ctx.train_state is None:
         raise StageError("'constrain' needs 'train' to have run")
     outcomes: list[DesignOutcome] = []
-    for design in ctx.config.designs:
-        kind = parse_design(design)
-        if kind is None:
+    for design in ctx.config.parsed_designs:
+        if not design.constrained:
             continue
-        with obs.span("constrain.design", design=design) as design_span:
-            if kind == "ladder":
+        with obs.span("constrain.design",
+                      design=design.token) as design_span:
+            if design.is_ladder:
                 outcome = _constrain_ladder(ctx, design)
             else:
-                outcome = DesignOutcome(design=design,
+                outcome = DesignOutcome(design=design.token,
                                         epochs=_retrain(ctx, design))
             design_span.set(epochs=outcome.epochs)
             outcomes.append(outcome)
     return ConstrainResult(outcomes=tuple(outcomes))
 
 
-def _retrain(ctx: PipelineContext, design: str) -> int:
+def _retrain(ctx: PipelineContext, design: Design) -> int:
     """Projected-SGD retrain of *design* from the restore point at the
     lower learning rate (Algorithm 2 step 3).
 
@@ -438,7 +390,7 @@ def _retrain(ctx: PipelineContext, design: str) -> int:
     x_train, x_test = ctx.arrays()
     model.load_state(ctx.train_state)
     projector = ConstraintProjector(
-        model, ctx.bits, layer_plan=ctx.design_plan(design),
+        model, ctx.bits, layer_plan=ctx.plan(design),
         mode=ctx.config.constraint_mode, backend=ctx.config.backend)
     retrainer = constrained_trainer(
         model, SGD(model, settings.learning_rate * settings.retrain_lr_scale),
@@ -446,12 +398,13 @@ def _retrain(ctx: PipelineContext, design: str) -> int:
     history = retrainer.fit(x_train, ctx.dataset.y_train_onehot, x_test,
                             ctx.dataset.y_test,
                             max_epochs=ctx.tier.retrain_epochs)
-    ctx.design_states[design] = model.state()
-    ctx._quantized.pop(design, None)
+    ctx.design_states[design.token] = model.state()
+    ctx._quantized.pop(design.token, None)
     return history.epochs_run
 
 
-def _constrain_ladder(ctx: PipelineContext, design: str) -> DesignOutcome:
+def _constrain_ladder(ctx: PipelineContext,
+                      design: Design) -> DesignOutcome:
     """Algorithm 2 step 4 for one ``ladder`` design: retrain with each
     rung's alphabet set until its accuracy ``K >= J * quality``.
 
@@ -470,14 +423,14 @@ def _constrain_ladder(ctx: PipelineContext, design: str) -> DesignOutcome:
     _, x_test = ctx.arrays()
     accuracies: list[float] = []
     for count in ctx.config.ladder:
-        ctx.chosen_sets[design] = standard_set(count)
+        ctx.chosen_sets[design.token] = standard_set(count)
         epochs = _retrain(ctx, design)
         accuracies.append(ctx.design_quantized(design).accuracy(
             x_test, ctx.dataset.y_test,
             batch_size=ctx.config.eval_batch_size))
         if accuracies[-1] >= threshold:
             break
-    return DesignOutcome(design=design, epochs=epochs,
+    return DesignOutcome(design=design.token, epochs=epochs,
                          chosen_alphabets=count,
                          ladder_accuracies=tuple(accuracies),
                          quality_met=bool(accuracies[-1] >= threshold))
@@ -490,27 +443,18 @@ def stage_evaluate(ctx: PipelineContext) -> EvaluateResult:
     quantize: QuantizeResult | None = ctx.results.get("quantize")
     baseline = quantize.baseline_accuracy if quantize else None
     rows: list[EvaluationRow] = []
-    for design in ctx.config.designs:
-        kind = parse_design(design)
-        if kind is None:
-            if baseline is None:
-                raise StageError(
-                    "evaluating 'conventional' needs the 'quantize' stage")
-            rows.append(EvaluationRow(design=design, label="conventional",
-                                      accuracy=baseline, loss=0.0))
-            continue
-        quantized = ctx.design_quantized(design)
-        if is_plan_design(kind):
-            label = "mixed(" + ",".join(
-                m.label("exact") for m in ctx.design_plan(design)) + ")"
+    for design in ctx.config.parsed_designs:
+        if design.constrained:
+            accuracy = ctx.design_quantized(design).accuracy(
+                x_test, y_test, batch_size=ctx.config.eval_batch_size)
+        elif baseline is None:
+            raise StageError(
+                "evaluating 'conventional' needs the 'quantize' stage")
         else:
-            label = ctx.design_set(design).label(asm="{count} {set}")
-            if kind == "ladder":
-                label = f"ladder {label}"
-        accuracy = quantized.accuracy(
-            x_test, y_test, batch_size=ctx.config.eval_batch_size)
+            accuracy = baseline
         rows.append(EvaluationRow(
-            design=design, label=label, accuracy=accuracy,
+            design=design.token, label=design.label(ctx.plan(design)),
+            accuracy=accuracy,
             loss=None if baseline is None else baseline - accuracy))
     return EvaluateResult(rows=tuple(rows))
 
@@ -537,11 +481,9 @@ def stage_faults(ctx: PipelineContext) -> FaultsResult:
     if evaluate is None:
         raise StageError("the 'faults' stage needs 'evaluate' to have run")
     rows: list[FaultRow] = []
-    for design in ctx.config.designs:
-        clean = evaluate.row_for(design).accuracy
-        quantized = (ctx.conventional_quantized()
-                     if parse_design(design) is None
-                     else ctx.design_quantized(design))
+    for design in ctx.config.parsed_designs:
+        clean = evaluate.row_for(design.token).accuracy
+        quantized = ctx.design_quantized(design)
         for rate in rates:
             spec = FaultSpec(kind=ctx.config.fault_kind, rate=rate,
                              seed=ctx.config.fault_seed)
@@ -549,7 +491,7 @@ def stage_faults(ctx: PipelineContext) -> FaultsResult:
                 quantized, spec, x_test, y_test,
                 batch_size=ctx.config.eval_batch_size)
             rows.append(FaultRow(
-                design=design, rate=rate, accuracy=accuracy,
+                design=design.token, rate=rate, accuracy=accuracy,
                 degradation=clean - accuracy, injected=injected))
     return FaultsResult(kind=ctx.config.fault_kind,
                         seed=ctx.config.fault_seed, rows=tuple(rows))
@@ -569,16 +511,12 @@ def stage_energy(ctx: PipelineContext) -> EnergyResult:
     engine = ProcessingEngine(ctx.bits, backend=ctx.config.backend)
     conventional = engine.run(topology)
     rows: list[EnergyDesignRow] = []
-    for design in ctx.config.designs:
-        if design == "conventional":
-            report = conventional
-        else:
-            report = engine.run(topology,
-                                layer_alphabets=ctx.design_plan(design))
+    for design in ctx.config.parsed_designs:
+        report = engine.run(topology, layer_alphabets=ctx.plan(design))
         sim = _simulate_design_energy(ctx, engine, design) \
             if ctx.config.sim_samples else {}
         rows.append(EnergyDesignRow(
-            design=design, label=report.design_label,
+            design=design.token, label=report.design_label,
             energy_nj=report.energy_nj, cycles=report.cycles,
             normalized=report.energy_nj / conventional.energy_nj,
             energy_per_mac_fj=report.energy_per_mac_fj,
@@ -588,10 +526,9 @@ def stage_energy(ctx: PipelineContext) -> EnergyResult:
 
 
 def _simulate_design_energy(ctx: PipelineContext, engine: ProcessingEngine,
-                            design: str) -> dict:
+                            design: Design) -> dict:
     """Toggle-level energy of *design* over ``sim_samples`` test inputs."""
-    quantized = ctx.conventional_quantized() if design == "conventional" \
-        else ctx.design_quantized(design)
+    quantized = ctx.design_quantized(design)
     _, x_test = ctx.arrays()
     batch = x_test[:ctx.config.sim_samples]
     n_samples = len(batch)
@@ -601,7 +538,8 @@ def _simulate_design_energy(ctx: PipelineContext, engine: ProcessingEngine,
     toggles = 0
     cycles = 0
     macs = 0
-    with obs.span("energy.simulate", design=design, samples=n_samples):
+    with obs.span("energy.simulate", design=design.token,
+                  samples=n_samples):
         for layer, codes in quantized.dense_layer_inputs(batch):
             simulator = engine.simulator(layer.multiplier)
             effective = simulator.remap_weights(layer.w_int)
@@ -625,16 +563,15 @@ def stage_export(ctx: PipelineContext) -> ExportResult:
     """Persist the export design as a serving artifact bundle."""
     from repro.serving.artifact import save_artifact
 
-    design = ctx.config.resolved_export_design()
+    design = Design.parse(ctx.config.resolved_export_design())
     quantized = ctx.design_quantized(design)
-    # ':' in custom plan tokens is not a portable path character
     path = os.path.join(ctx.config.export_dir,
-                        f"{ctx.config.app}-{design.replace(':', '_')}")
+                        f"{ctx.config.app}-{design.path_name}")
     save_artifact(quantized, path)
     artifact_bytes = sum(
         os.path.getsize(os.path.join(path, item))
         for item in os.listdir(path))
-    return ExportResult(design=design, path=path,
+    return ExportResult(design=design.token, path=path,
                         spec_label=quantized.deployment_label,
                         artifact_bytes=artifact_bytes)
 
@@ -650,7 +587,7 @@ def stage_serve_check(ctx: PipelineContext) -> ServeCheckResult:
     entry = registry.register(
         export.path, name=ctx.config.serve_name or ctx.config.app)
     compiled = entry.model
-    quantized = ctx.design_quantized(export.design)
+    quantized = ctx.design_quantized(Design.parse(export.design))
     _, x_test = ctx.arrays()
     reference = quantized.forward(x_test)
     reloaded = compiled.forward(x_test)

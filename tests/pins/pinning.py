@@ -76,7 +76,7 @@ from repro.nn.quantized import (  # noqa: E402
     QuantizationSpec,
     QuantizedNetwork,
 )
-from repro.pipeline.config import PipelineConfig, parse_design  # noqa: E402
+from repro.pipeline.config import Design, PipelineConfig  # noqa: E402
 from repro.pipeline.pipeline import Pipeline  # noqa: E402
 from repro.rtl.generator import (  # noqa: E402
     generate_asm_mac,
@@ -85,7 +85,6 @@ from repro.rtl.generator import (  # noqa: E402
 )
 from repro.serving.artifact import save_artifact  # noqa: E402
 from repro.serving.compiled import CompiledModel  # noqa: E402
-from repro.training.mixed import paper_mixed_plan  # noqa: E402
 from repro.utils.serialization import load_mapping  # noqa: E402
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -136,36 +135,18 @@ def _inputs(app: str) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=shape)
 
 
-def _multiplier(count: int | None) -> Multiplier:
-    return Multiplier(standard_set(count)) if count else CONVENTIONAL
-
-
-def _plan(app: str, design: str, model) -> list[Multiplier]:
-    """Per-parameterised-layer multiplier plan of *design* on *model*."""
-    kind = parse_design(design)
-    if kind is None or isinstance(kind, int):
-        return [_multiplier(kind)] * len(model.trainable_layers)
-    if kind == "mixed":
-        return [Multiplier(aset) for aset in paper_mixed_plan(app, model)]
-    return [_multiplier(count) for count in kind]
-
-
 def lower(app: str, design: str) -> QuantizedNetwork:
     """``build_model(app, seed=0)`` lowered for *design* at 8 bits,
     the way the pipeline's ``design_quantized`` lowers constrained
     weights (greedy Algorithm 1 per layer)."""
     model = build_model(app, seed=0)
-    base = QuantizationSpec(BITS)
-    kind = parse_design(design)
-    if kind is None:
-        return QuantizedNetwork.from_float(model, base)
-    if isinstance(kind, int):
-        return QuantizedNetwork.from_float(
-            model, QuantizationSpec.constrained(BITS, _multiplier(kind)))
-    layer_specs = [QuantizationSpec.constrained(BITS, multiplier)
-                   for multiplier in _plan(app, design, model)]
-    return QuantizedNetwork.from_float(model, base,
-                                       layer_specs=layer_specs)
+    parsed = Design.parse(design)
+    specs = [QuantizationSpec.constrained(BITS, multiplier)
+             for multiplier in parsed.plan(app, model)]
+    if parsed.per_layer:
+        return QuantizedNetwork.from_float(model, QuantizationSpec(BITS),
+                                           layer_specs=specs)
+    return QuantizedNetwork.from_float(model, specs[0])
 
 
 def _npz_sha(path: str) -> str:
@@ -218,7 +199,9 @@ def _toggles(pins: dict, mismatches: list) -> None:
     raw = rng.integers(-128, 128, size=(24, 10), dtype=np.int64)
     inputs = rng.integers(-128, 128, size=24, dtype=np.int64)
     for design in UNIFORM_DESIGNS:
-        multiplier = _multiplier(parse_design(design))
+        count = Design.parse(design).counts[0]
+        multiplier = Multiplier(standard_set(count)) if count \
+            else CONVENTIONAL
         constrainer = multiplier.constrainer(BITS)
         weights = raw if constrainer is None else \
             constrainer.constrain_array(raw)
@@ -248,7 +231,8 @@ def _engines(pins: dict) -> None:
     engine = ProcessingEngine(BITS)
     for app, design in _lowerings():
         model = build_model(app, seed=0)
-        report = engine.run(model.topology(), _plan(app, design, model))
+        report = engine.run(model.topology(),
+                            Design.parse(design).plan(app, model))
         pins[f"engine/{app}/{design}"] = _json_sha({
             "design_label": report.design_label,
             "layer_labels": [layer.alphabet_label

@@ -24,11 +24,11 @@ from repro.explore import (
 from repro.explore.report import ExplorationReport
 from repro.explore.strategies import random_candidates
 from repro.pipeline import (
+    Design,
     Pipeline,
     PipelineConfig,
     PipelineConfigError,
     StageError,
-    parse_design,
 )
 from repro.pipeline.pipeline import list_cached_runs
 
@@ -210,18 +210,20 @@ class TestSearchSpace:
 # custom per-layer design tokens
 # ----------------------------------------------------------------------
 class TestCustomPlanTokens:
-    def test_parse_design_plan(self):
-        assert parse_design("mixed:1-0") == (1, 0)
-        assert parse_design("mixed:0-2-4") == (0, 2, 4)
-        assert parse_design("mixed") == "mixed"
+    def test_parse_plan(self):
+        assert Design.parse("mixed:1-0") == Design("mixed:1-0", "plan",
+                                                   (1, 0))
+        assert Design.parse("mixed:0-2-4").counts == (0, 2, 4)
+        assert Design.parse("mixed") == Design("mixed", "mixed")
+        assert Design.parse("mixed:1-0").per_layer
 
     def test_bad_counts_rejected(self):
         with pytest.raises(PipelineConfigError, match="no standard"):
-            parse_design("mixed:3-1")
+            Design.parse("mixed:3-1")
         with pytest.raises(PipelineConfigError, match="constrains no"):
-            parse_design("mixed:0-0")
+            Design.parse("mixed:0-0")
         with pytest.raises(PipelineConfigError, match="unknown design"):
-            parse_design("mixed:")
+            Design.parse("mixed:")
 
     def test_pipeline_runs_custom_plan(self, tmp_path):
         config = PipelineConfig(
@@ -239,6 +241,26 @@ class TestCustomPlanTokens:
         conventional = report.energy.row_for("conventional")
         assert energy.energy_nj < conventional.energy_nj
         assert energy.area_um2 > 0 and energy.latency_us > 0
+
+    def test_export_serve_check_custom_plan(self, tmp_path):
+        from repro.pipeline.pipeline import _design_tag
+
+        config = PipelineConfig(
+            app="mnist_mlp", designs=("conventional", "mixed:1-0"),
+            stages=("export", "serve-check"), budget=TINY, seed=0,
+            export_dir=str(tmp_path / "artifacts"),
+            cache_dir=str(tmp_path / "cache"))
+        cold = Pipeline(config).run()
+        assert os.path.basename(cold.export.path) == "mnist_mlp-mixed_1-0"
+        assert os.path.isdir(cold.export.path)
+        assert cold.serve_check.bit_identical is True
+        warm = Pipeline(config).run()
+        assert "constrain" in warm.cached_stages
+        pipeline = Pipeline(config)
+        state_dir = pipeline.stage_cache_dir("constrain", pipeline.plan())
+        assert os.path.exists(os.path.join(
+            state_dir, f"state-{_design_tag('mixed:1-0')}.npz"))
+        assert warm.to_dict()["stages"] == cold.to_dict()["stages"]
 
     def test_wrong_plan_length_is_stage_error(self):
         config = PipelineConfig(app="face", designs=("mixed:1-0-2",),

@@ -3,7 +3,6 @@
 hardened explore executor (retry / quarantine / timeout / corrupt-record
 healing / chaos bit-identity)."""
 
-import argparse
 import glob
 import json
 import os
@@ -18,7 +17,7 @@ import pytest
 from repro.asm.alphabet import ALPHA_2
 from repro.asm.constraints import WeightConstrainer
 from repro.asm.multiplier import Multiplier
-from repro.cli import build_parser, main
+from repro.cli import main
 from repro.datasets.registry import mlp
 from repro.explore import (
     FAILED_STATUS,
@@ -38,7 +37,6 @@ from repro.faults import (
 )
 from repro.faults import chaos
 from repro.faults.models import (
-    FAULT_KINDS,
     fault_activation_array,
     fault_mask,
     fault_weight_array,
@@ -312,15 +310,6 @@ class TestFaultsStage:
         assert written["stages_run"][-1] == "faults"
         assert written["config"] == expected["config"]
         assert written["stages"] == expected["stages"]
-
-    def test_cli_kind_choices_are_the_fault_kinds(self):
-        parser = build_parser()
-        commands = next(action for action in parser._actions
-                        if isinstance(action, argparse._SubParsersAction))
-        kind = next(action
-                    for action in commands.choices["faults"]._actions
-                    if action.dest == "kind")
-        assert tuple(kind.choices) == FAULT_KINDS
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,17 @@ the unified CLI."""
 
 import json
 import os
+import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asm.multiplier import Multiplier
 from repro.pipeline import (
     Budget,
+    Design,
     Pipeline,
     PipelineConfig,
     PipelineConfigError,
@@ -152,6 +156,109 @@ class TestConfigValidation:
         assert a.digest() != tiny_config(seed=1).digest()
 
 
+#: field -> (JSON type, a valid entry for list fields), per config class;
+#: types: "string", "int", "number", "budget", a "?" suffix allows null,
+#: and "[...]" is a list of that type
+CONFIG_FIELDS = {
+    "app": ("string", None), "bits": ("int?", None),
+    "designs": ("[string]", "asm1"), "stages": ("[string]", "energy"),
+    "budget": ("budget", None), "seed": ("int", None),
+    "constraint_mode": ("string", None), "quality": ("number", None),
+    "ladder": ("[int]", 1), "export_design": ("string?", None),
+    "export_dir": ("string", None), "serve_name": ("string?", None),
+    "cache_dir": ("string?", None), "backend": ("string", None),
+    "eval_batch_size": ("int", None), "sim_samples": ("int", None),
+    "fault_rates": ("[number]", 0.1), "fault_kind": ("string", None),
+    "fault_seed": ("int", None),
+}
+SPACE_FIELDS = {
+    "app": ("string", None), "name": ("string", None),
+    "designs": ("[string]", "asm1"), "bits": ("[int?]", None),
+    "budgets": ("[budget]", "quick"), "seeds": ("[int]", 0),
+    "qualities": ("[number]", 0.99), "constraint_modes": ("[string]",
+                                                          "greedy"),
+    "strategy": ("string", None), "samples": ("int", None),
+    "strategy_seed": ("int", None), "max_candidates": ("int?", None),
+    "sensitivity_counts": ("[int]", 1), "objectives": ("[string]",
+                                                       "accuracy"),
+    "sim_samples": ("int", None), "fault_rates": ("[number]", 0.1),
+    "fault_kind": ("string", None), "fault_seed": ("int", None),
+}
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5),
+    st.floats(-2, 2, allow_nan=False), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+
+
+def _accepts(kind: str, value) -> bool:
+    """Whether *value* has the JSON type *kind* (bool is no number)."""
+    if kind.endswith("?") and value is None:
+        return True
+    kind = kind.rstrip("?")
+    if isinstance(value, bool):
+        return False
+    return {"string": isinstance(value, str),
+            "int": isinstance(value, int),
+            "number": isinstance(value, (int, float)),
+            "budget": isinstance(value, (str, dict))}[kind]
+
+
+@st.composite
+def wrong_typed(draw, table):
+    """``(field, value)``: a wrong-typed value, or a list field holding
+    one wrong-typed entry after an optional valid one."""
+    field = draw(st.sampled_from(sorted(table)))
+    kind, valid = table[field]
+    if kind.startswith("[") and draw(st.booleans()):
+        entry = draw(JSON_VALUES.filter(
+            lambda v: not _accepts(kind[1:-1], v)))
+        return field, draw(st.sampled_from([[], [valid]])) + [entry]
+    if kind.startswith("["):
+        return field, draw(JSON_VALUES.filter(
+            lambda v: not isinstance(v, list)))
+    return field, draw(JSON_VALUES.filter(lambda v: not _accepts(kind, v)))
+
+
+class TestHostileConfigs:
+    """A wrong-typed JSON value anywhere in a config or search space is
+    a typed error naming the field, never a raw ``TypeError``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(wrong_typed(CONFIG_FIELDS))
+    def test_pipeline_config_field_types(self, case):
+        field, value = case
+        with pytest.raises(PipelineConfigError, match=re.escape(field)):
+            PipelineConfig.from_dict({"app": "face", field: value})
+
+    @settings(max_examples=100, deadline=None)
+    @given(wrong_typed(SPACE_FIELDS))
+    def test_search_space_field_types(self, case):
+        from repro.explore import SearchSpace, SearchSpaceError
+
+        field, value = case
+        with pytest.raises(SearchSpaceError, match=re.escape(field)):
+            SearchSpace.from_dict({"app": "face", field: value})
+
+    def test_design_token_must_be_a_string(self):
+        with pytest.raises(PipelineConfigError, match="strings"):
+            Design.parse(1)
+        with pytest.raises(PipelineConfigError, match="strings"):
+            Design.parse(["asm1"])          # unhashable: no cache lookup
+
+    @pytest.mark.parametrize("command", ["run", "explore"])
+    def test_cli_reports_a_typed_error(self, command, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({"app": "mnist_mlp", "designs": [1]}))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "designs" in err
+        assert "Traceback" not in err
+
+
 class TestPipelineRun:
     @pytest.fixture(scope="class")
     def report(self):
@@ -202,7 +309,7 @@ class TestPipelineRun:
 
         ctx = PipelineContext(tiny_config(designs=("ladder",)))
         with pytest.raises(StageError, match="constrain"):
-            ctx.design_set("ladder")
+            ctx.plan(Design.parse("ladder"))
 
 
 class TestCachingResume:
@@ -695,6 +802,35 @@ class TestCLI:
         path = tiny_config().save("cfg.json")
         assert main(["run", path, "--stages", "energy", "--quiet"]) == 0
         assert "Stage: energy" in capsys.readouterr().out
+
+    def test_parser_choices_are_their_source_constants(self):
+        """Every ``choices`` list in the CLI is the constant its values
+        come from, so a new backend or fault kind cannot drift."""
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.faults.models import FAULT_KINDS
+        from repro.kernels.registry import BACKEND_NAMES
+
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        choices = {(name, action.dest): tuple(action.choices)
+                   for name, sub in commands.choices.items()
+                   for action in sub._actions if action.choices}
+        assert choices == {("run", "backend"): BACKEND_NAMES,
+                           ("faults", "kind"): FAULT_KINDS}
+
+    def test_list_designs_are_the_design_forms(self, capsys):
+        from repro.cli import main
+
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index("designs:") + 1] == \
+            "  " + ", ".join(Design.FORMS)
+        for token in Design.FORMS:
+            if "..." not in token:
+                assert Design.parse(token).token == token
 
     def test_run_bad_config_is_error_exit(self, tmp_path, capsys):
         from repro.cli import main
