@@ -121,13 +121,19 @@ class SearchSpace:
             resolve_objectives(self.objectives)
         except ValueError as error:
             raise SearchSpaceError(str(error)) from None
-        # probe one candidate per design so bad tokens / apps without a
-        # §VI.E plan / bad bits fail at load time, not mid-exploration
-        for design in self.designs:
+        # probe each value of each axis once, the other axes at their
+        # first values, so bad tokens / apps without a §VI.E plan /
+        # out-of-range values fail at load time, not mid-exploration
+        axes = (self.designs, self.bits, self.budgets, self.seeds,
+                self.qualities, self.constraint_modes)
+        first = [values[0] for values in axes]
+        probes = [first]
+        for axis, values in enumerate(axes):
+            for value in values[1:]:
+                probes.append(first[:axis] + [value] + first[axis + 1:])
+        for probe in probes:
             try:
-                self.candidate(design, self.bits[0], self.budgets[0],
-                               self.seeds[0], self.qualities[0],
-                               self.constraint_modes[0])
+                self.candidate(*probe)
             except PipelineConfigError as error:
                 raise SearchSpaceError(str(error)) from None
 

@@ -23,6 +23,11 @@ non-integer length, or any ``Transfer-Encoding``, gets a 400 and the
 connection closes; so does any reply sent before the body was read, so
 leftover body bytes never parse as the next request.
 
+Bodies are strict JSON (RFC 8259), decoded and encoded with orjson: a
+body that is not UTF-8, nests too deep, or holds a ``NaN``/``Infinity``
+literal, a number past the double range, a lone surrogate escape or a
+``null`` input gets a 400, like any other malformed body.
+
 Run it through the unified CLI::
 
     repro serve results/artifacts/digits
@@ -33,7 +38,6 @@ Run it through the unified CLI::
 from __future__ import annotations
 
 import argparse
-import json
 import socket
 import threading
 import time
@@ -41,6 +45,7 @@ from concurrent.futures import TimeoutError as ResultTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
+import orjson
 
 from repro import obs
 from repro.serving.batching import (
@@ -161,8 +166,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, payload: dict, status: int = 200,
                    retry_after_s: int | None = None) -> None:
-        self._respond(status, json.dumps(payload).encode(),
-                      "application/json", retry_after_s)
+        self._respond(status, _encode(payload), "application/json",
+                      retry_after_s)
 
     def _send_error_json(self, status: int, message: str,
                          retry_after_s: int | None = None) -> None:
@@ -289,13 +294,13 @@ class _Handler(BaseHTTPRequestHandler):
             model=entry.key, samples=len(scores), latency_s=latency,
             energy_nj=energy)
         with obs.span("serving.encode", samples=len(scores)):
-            payload = json.dumps({
+            payload = _encode({
                 "model": name,
-                "predictions": np.argmax(scores, axis=1).tolist(),
-                "scores": np.asarray(scores).tolist(),
+                "predictions": np.argmax(scores, axis=1),
+                "scores": np.ascontiguousarray(scores),
                 "latency_ms": round(latency * 1e3, 3),
                 "energy_nj_est": energy,
-            }).encode()
+            })
         self._respond(200, payload, "application/json")
 
 
@@ -303,25 +308,41 @@ def _parse_predict(body: bytes) -> tuple[str, object, np.ndarray]:
     """``(model, version, inputs)`` of a ``POST /predict`` body; a
     ValueError says what is wrong with it (the handler's 400)."""
     try:
-        request = json.loads(body or b"{}")
-    except ValueError:
-        raise ValueError("body is not valid JSON") from None
+        request = orjson.loads(body or b"{}")
+    except orjson.JSONDecodeError as error:
+        raise ValueError(f"body is not valid JSON: {error}") from None
     if not isinstance(request, dict):
         # valid JSON but not an object (e.g. a bare list) used to
         # escape as an unhandled 500; malformed input is the
         # client's fault and must say so
         raise ValueError(f"body must be a JSON object, "
                          f"got {type(request).__name__}")
-    name = request.get("model")
+    name, version = request.get("model"), request.get("version")
     if not name:
         raise ValueError("missing 'model'")
+    # the registry looks both up as dict keys: a list would be a 500
+    if not isinstance(name, str):
+        raise ValueError(f"'model' must be a string, "
+                         f"got {type(name).__name__}")
+    if version is not None and type(version) is not int:
+        raise ValueError(f"'version' must be an integer, "
+                         f"got {type(version).__name__}")
     try:
         inputs = np.asarray(request.get("inputs"), dtype=np.float64)
     except (TypeError, ValueError):
         raise ValueError("'inputs' is not a numeric array") from None
     if inputs.ndim not in (1, 2, 3, 4):
         raise ValueError(f"'inputs' has unsupported rank {inputs.ndim}")
-    return name, request.get("version"), inputs
+    if not np.isfinite(inputs).all():
+        # a null element becomes NaN, and NaN scores are not JSON
+        raise ValueError("'inputs' has a null or non-finite element")
+    return name, version, inputs
+
+
+def _encode(payload: dict) -> bytes:
+    """The one response encoder: JSON bytes, numpy arrays included
+    (they must be C-contiguous)."""
+    return orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
 # ----------------------------------------------------------------------

@@ -161,6 +161,18 @@ class TestSearchSpace:
         with pytest.raises(SearchSpaceError, match="mixed"):
             tiny_space(app="face", designs=("mixed",))  # no §VI.E plan
 
+    @pytest.mark.parametrize("axis, values, message", [
+        ("qualities", (0.99, 1.5), "quality must be in"),
+        ("bits", (8, 1), "bits must be >= 2"),
+        ("constraint_modes", ("greedy", "exact"), "constraint_mode"),
+    ])
+    def test_later_axis_values_validated_at_construction(self, axis, values,
+                                                         message):
+        # only the first value of an axis used to be probed, so a bad
+        # later value surfaced as a PipelineConfigError from grid()
+        with pytest.raises(SearchSpaceError, match=message):
+            SearchSpace(app="face", designs=["ladder"], **{axis: values})
+
     def test_name_defaults_to_app(self):
         assert tiny_space().name == "face"
         assert tiny_space(name="sweep").name == "sweep"

@@ -13,9 +13,14 @@ import urllib.parse
 import urllib.request
 import zipfile
 from concurrent.futures import TimeoutError as ResultTimeoutError
+from decimal import Decimal, localcontext
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import obs
 from repro.asm.alphabet import ALPHA_1, ALPHA_2
@@ -42,6 +47,7 @@ from repro.serving.artifact import (
     _manifest_digest,
     save_artifact,
 )
+from repro.serving.server import _encode, _parse_predict
 
 RNG = np.random.default_rng(7)
 
@@ -680,6 +686,17 @@ class _ThreadRecordingModel:
         return self.inner.forward(x)
 
 
+class _FortranScores:
+    """Delegating model whose scores come back in Fortran order, so a
+    multi-row request's slice of a coalesced batch is not C-contiguous."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def forward(self, x):
+        return np.asfortranarray(self.inner.forward(x))
+
+
 def _wait_for(condition, timeout: float = 10.0) -> None:
     deadline = time.monotonic() + timeout
     while not condition():
@@ -739,6 +756,56 @@ class TestInlinePredict:
             {"repro-microbatcher"}
         # `queued` and the predict rode one batch
         assert [rows for _, rows in model.calls] == [1, 2]
+
+    def test_coalesced_http_batch_encodes_non_contiguous_slices(
+            self, exported):
+        quantized, path = exported
+        gated = _GatedModel(_FortranScores(CompiledModel.load(path)))
+        model = _ThreadRecordingModel(gated)
+        registry = ModelRegistry()
+        registry.register(path, name="digits")
+        server = create_server(registry)
+        server.batcher._resolve = lambda key: model
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        base = "http://%s:%d" % server.server_address[:2]
+        inputs = [sample_batch(3), sample_batch(4)]
+        replies = {}
+
+        def client(index: int) -> None:
+            conn = _connection(base)
+            try:
+                replies[index] = _predict(conn, inputs[index])
+            finally:
+                conn.close()
+
+        try:
+            held = server.batcher.submit(("digits", 1), sample_batch(1))
+            assert gated.started.wait(timeout=10.0)
+            # a queued request makes both predicts queue behind it
+            queued = server.batcher.submit(("digits", 1), sample_batch(2))
+            clients = [threading.Thread(target=client, args=(index,))
+                       for index in range(len(inputs))]
+            for thread in clients:
+                thread.start()
+            _wait_for(lambda: server.batcher.queue_depth() == 3)
+            gated.gate.set()
+            for thread in clients:
+                thread.join(timeout=10.0)
+            for future in (held, queued):
+                future.result(timeout=10.0)
+        finally:
+            gated.gate.set()
+            server.shutdown()
+            loop.join(timeout=5.0)
+        # all three rode one forward pass; each got an F-ordered row slice
+        assert [rows for _, rows in model.calls] == [1, 9]
+        for index, x in enumerate(inputs):
+            response, payload = replies[index]
+            assert response.status == 200
+            assert payload["predictions"] == quantized.predict(x).tolist()
+            assert np.array_equal(np.asarray(payload["scores"]),
+                                  quantized.forward(x))
 
     def test_concurrent_inline_and_worker_passes_bit_identical(
             self, exported):
@@ -857,7 +924,53 @@ def overload_server(exported):
     thread.join(timeout=5.0)
 
 
+def _one_sample_body(first: bytes) -> bytes:
+    """A 1024-wide one-sample ``/predict`` body whose first element is
+    the literal *first*."""
+    return (b'{"model": "digits", "inputs": [' + first
+            + b", 0.0" * 1023 + b"]}")
+
+
+#: bodies that must get a typed 400 and leave the server answering
+HOSTILE_BODIES = {
+    "deep-nesting": (b'{"model": "digits", "inputs": ' + b"[" * 100_000
+                     + b"]" * 100_000 + b"}"),
+    "400-digit-integer": _one_sample_body(b"9" * 400),
+    "null-element": _one_sample_body(b"null"),
+    "nan-literal": _one_sample_body(b"NaN"),
+    "infinity-literal": _one_sample_body(b"-Infinity"),
+    "double-overflow": _one_sample_body(b"1e400"),
+    "utf8-bom": b"\xef\xbb\xbf" + _one_sample_body(b"0.0"),
+    "utf16-body": _one_sample_body(b"0.0").decode().encode("utf-16"),
+    "lone-surrogate": b'{"model": "digits\\ud800", "inputs": [0.0]}',
+    "list-model": b'{"model": ["digits"], "inputs": [0.0]}',
+    "list-version": _one_sample_body(b"0.0").replace(
+        b'"inputs"', b'"version": [1], "inputs"'),
+}
+
+
 class TestServerHardening:
+    @pytest.mark.parametrize("body", HOSTILE_BODIES.values(),
+                             ids=HOSTILE_BODIES.keys())
+    def test_hostile_body_is_typed_400(self, running_server, body):
+        base, quantized = running_server
+        conn = _connection(base)
+        try:
+            conn.request("POST", "/predict", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            reply = orjson.loads(response.read())     # strict JSON
+            assert response.status == 400
+            assert reply["error"]
+            # the connection and the server both still answer
+            x = sample_batch(2)
+            response, payload = _predict(conn, x)
+            assert response.status == 200
+            assert np.array_equal(np.asarray(payload["scores"]),
+                                  quantized.forward(x))
+        finally:
+            conn.close()
+
     def test_non_dict_json_body_is_400_not_500(self, running_server):
         base, _ = running_server
         for payload in (b"[1, 2, 3]", b'"predict"'):
@@ -1083,3 +1196,53 @@ class TestConnections:
             model.gate.set()
             server.shutdown()
             loop.join(timeout=5.0)
+
+
+# ----------------------------------------------------------------------
+# the JSON codec: exact decode of every finite double, exact encode
+# ----------------------------------------------------------------------
+_EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308)
+_doubles = (st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(_EDGE_DOUBLES))
+
+
+def _midpoint(x: float) -> str:
+    """The exact decimal midpoint of *x* and its neighbour toward zero
+    (toward +inf for a zero): a round-half-even tie for the parser."""
+    neighbour = float(np.nextafter(x, 0.0)) if x != 0 else 5e-324
+    with localcontext() as context:
+        context.prec = 1200                 # > the 768 digits a tie needs
+        return str((Decimal(x) + Decimal(neighbour)) / 2)
+
+
+_literals = st.one_of(
+    _doubles.map(repr),
+    _doubles.map(lambda x: "%.40e" % x),
+    _doubles.map(_midpoint),
+    st.integers(-2**70, 2**70).map(str),
+)
+
+
+class TestJsonCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_literals, min_size=1, max_size=16))
+    def test_decode_matches_the_stdlib_bit_for_bit(self, literals):
+        body = ('{"model": "m", "inputs": [' + ", ".join(literals)
+                + "]}").encode()
+        expected = np.asarray(json.loads(body)["inputs"], dtype=np.float64)
+        assert _parse_predict(body)[2].tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8),
+                                        st.integers(1, 12)),
+                  elements=_doubles))
+    def test_scores_round_trip_through_the_encoder(self, scores):
+        predictions = np.argmax(scores, axis=1)
+        decoded = json.loads(_encode({"predictions": predictions,
+                                      "scores": scores}))
+        assert decoded["predictions"] == predictions.tolist()
+        assert decoded["scores"] == scores.tolist()
+        # bit for bit, so -0.0 survives too
+        assert np.asarray(decoded["scores"]).tobytes() == scores.tobytes()
