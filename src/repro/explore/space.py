@@ -160,10 +160,10 @@ class SearchSpace:
         Axes that cannot affect a design are pinned to their first value
         (``constraint_mode``/``quality`` for conventional, ``quality``
         for non-ladder designs), so sweeping ``qualities`` does not clone
-        every ASM point; the resulting duplicates collapse by config
-        digest, preserving first-seen order.
+        every ASM point; the resulting duplicates collapse by their
+        canonical axis values, preserving first-seen order.
         """
-        seen: set[str] = set()
+        seen: set[tuple] = set()
         out: list[PipelineConfig] = []
         for design in self.designs:
             parsed = Design.parse(design)
@@ -174,12 +174,11 @@ class SearchSpace:
                     mode = self.constraint_modes[0]
                 if not parsed.is_ladder:
                     quality = self.qualities[0]
-                config = self.candidate(design, bits, budget, seed,
-                                        quality, mode, cache_dir)
-                digest = config.digest()
-                if digest not in seen:
-                    seen.add(digest)
-                    out.append(config)
+                point = (design, bits, budget, seed, mode, quality)
+                if point not in seen:
+                    seen.add(point)
+                    out.append(self.candidate(design, bits, budget, seed,
+                                              quality, mode, cache_dir))
         if self.max_candidates is not None:
             out = out[:self.max_candidates]
         return tuple(out)

@@ -21,8 +21,8 @@ Flagged:
 interval clocks and stay legal — they measure, they do not stamp.
 
 The documented exceptions live in ``[tool.repro.lint.RPR001] allow`` in
-``pyproject.toml`` (trace metadata and serving registration stamps are
-telemetry, not results); one-off exceptions use
+``pyproject.toml`` (trace metadata, serving registration stamps and
+HTTP ``Date`` headers are telemetry, not results); one-off exceptions use
 ``# repro: noqa[RPR001]``.
 """
 
@@ -62,11 +62,13 @@ class DeterminismRule(Rule):
     title = "unseeded randomness or wall-clock-derived value"
     severity = "error"
     default_options = {
-        # documented exceptions (see docs/invariants.md): trace metadata
-        # and serving registration stamps are telemetry, not results
+        # documented exceptions (see docs/invariants.md): trace metadata,
+        # serving registration stamps and HTTP Date headers are
+        # telemetry, not results
         "allow": [
             "src/repro/obs/tracing.py",
             "src/repro/serving/registry.py",
+            "src/repro/serving/server.py",
             "benchmarks/",
         ],
     }

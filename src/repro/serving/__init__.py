@@ -22,32 +22,38 @@ and serves it:
     (estimated nJ per inference via :mod:`repro.hardware.engine`).
 ``repro.serving.server``
     Stdlib HTTP front end behind ``repro serve``.
+
+The names below load their module on first use, so importing
+``repro.serving.artifact`` or ``repro.serving.registry`` (all that the
+pipeline's export and serve-check stages need) loads neither the HTTP
+server, the batcher nor orjson.
 """
 
-from repro.serving.artifact import (
-    ArtifactError,
-    ArtifactIntegrityError,
-    read_manifest,
-    save_artifact,
-)
-from repro.serving.batching import (
-    BatchSettings,
-    DeadlineExceededError,
-    MicroBatcher,
-    QueueFullError,
-)
-from repro.serving.compiled import CompiledModel
-from repro.serving.metrics import ServingMetrics
-from repro.serving.registry import ModelEntry, ModelRegistry, default_registry
-from repro.serving.server import create_server, main
+import importlib
 
-__all__ = [
-    "ArtifactError", "ArtifactIntegrityError",
-    "read_manifest", "save_artifact",
-    "BatchSettings", "MicroBatcher",
-    "QueueFullError", "DeadlineExceededError",
-    "CompiledModel",
-    "ServingMetrics",
-    "ModelEntry", "ModelRegistry", "default_registry",
-    "create_server", "main",
-]
+#: each exported name, and the submodule that defines it
+_MODULES = {
+    "ArtifactError": "artifact", "ArtifactIntegrityError": "artifact",
+    "read_manifest": "artifact", "save_artifact": "artifact",
+    "BatchSettings": "batching", "MicroBatcher": "batching",
+    "QueueFullError": "batching", "DeadlineExceededError": "batching",
+    "CompiledModel": "compiled",
+    "ServingMetrics": "metrics",
+    "ModelEntry": "registry", "ModelRegistry": "registry",
+    "default_registry": "registry",
+    "create_server": "server", "main": "server",
+}
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULES[name]}"),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -23,10 +23,23 @@ non-integer length, or any ``Transfer-Encoding``, gets a 400 and the
 connection closes; so does any reply sent before the body was read, so
 leftover body bytes never parse as the next request.
 
+The request head is read here, not by ``email.parser``: the request
+line must be ``METHOD SP target SP HTTP/1.x`` (HTTP/2 and later get a
+505, anything else a 400), and header fields follow RFC 9112 §5
+strictly.  A line without ``:``, whitespace before the colon, a field
+name that is not a token, a control character in a value, an obs-fold
+continuation line or two differing ``Content-Length`` fields get a
+400; a header line over 65,536 bytes or more than 100 fields get a
+431 (the stdlib's limits).  Every error reply, head errors included,
+is a JSON ``{"error": ...}`` body, and one sent before the request
+body was read closes the connection.  The ``Date`` line is formatted
+once per wall-clock second.
+
 Bodies are strict JSON (RFC 8259), decoded and encoded with orjson: a
 body that is not UTF-8, nests too deep, or holds a ``NaN``/``Infinity``
-literal, a number past the double range, a lone surrogate escape or a
-``null`` input gets a 400, like any other malformed body.
+literal, a number past the double range, a lone surrogate escape, a
+``null`` or string input or only booleans gets a 400, like any other
+malformed body.
 
 Run it through the unified CLI::
 
@@ -38,10 +51,14 @@ Run it through the unified CLI::
 from __future__ import annotations
 
 import argparse
+import re
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import TimeoutError as ResultTimeoutError
+from email.utils import formatdate
+from functools import lru_cache
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -64,6 +81,20 @@ RESULT_TIMEOUT_S = 30.0
 #: how often the serve loop checks for :meth:`ServingServer.shutdown`
 #: (socketserver's default of 0.5 s makes every shutdown wait that long)
 POLL_INTERVAL_S = 0.05
+#: the stdlib's head limits (``http.client``): bytes per header line,
+#: CRLF included, and header fields per request
+MAX_LINE = 65536
+MAX_FIELDS = 100
+
+#: an RFC 9110 token: a method or a field name
+_TOKEN = rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+_REQUEST_LINE = re.compile(
+    rb"(" + _TOKEN + rb") ([^\x00-\x20\x7f]+) HTTP/(\d)\.(\d)\r?\n")
+#: ``name ":" OWS value OWS``; a value holds no control byte but HTAB
+_FIELD_LINE = re.compile(
+    rb"(" + _TOKEN + rb"):[ \t]*([^\x00-\x08\x0a-\x1f\x7f]*?)[ \t]*\r?\n")
+_SERVER = (f"{BaseHTTPRequestHandler.server_version} "
+           f"{BaseHTTPRequestHandler.sys_version}")
 
 
 class ServingServer(ThreadingHTTPServer):
@@ -137,8 +168,81 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def parse_request(self) -> bool:
+        """Read the request line and the header fields into
+        ``self.headers``, a dict keyed by the lower-cased field name
+        (the first of repeated fields wins); a head this server will not
+        read gets a JSON error, and the connection closes."""
         self._body_read = False
-        return super().parse_request()
+        self.headers = None                 # framing unknown: close
+        self.close_connection = True
+        line = self.raw_requestline
+        if line in (b"\r\n", b"\n"):
+            return False                    # as the stdlib: just close
+        request = _REQUEST_LINE.fullmatch(line)
+        if request is None:
+            self.send_error(400, "malformed request line; expected "
+                                 "'METHOD target HTTP/1.1'")
+            return False
+        method, target, major, minor = request.groups()
+        if major != b"1":
+            self.send_error(
+                505 if major > b"1" else 400,
+                f"HTTP/{major.decode()}.{minor.decode()} is not supported; "
+                f"send HTTP/1.1")
+            return False
+        self.request_version = f"HTTP/1.{minor.decode()}"
+        self.close_connection = minor == b"0"
+        self.command = method.decode()
+        self.path = target.decode("latin-1")
+        if self.path.startswith("//"):
+            # as the stdlib: '//host/x' is not an absolute URI here
+            self.path = "/" + self.path.lstrip("/")
+
+        headers: dict[str, str] = {}
+        readline = self.rfile.readline
+        fields = 0
+        while True:
+            line = readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                self.send_error(431, f"header line longer than "
+                                     f"{MAX_LINE} bytes")
+                return False
+            if line in (b"\r\n", b"\n"):
+                break
+            fields += 1
+            if fields > MAX_FIELDS:
+                self.send_error(431, f"more than {MAX_FIELDS} header fields")
+                return False
+            field = _FIELD_LINE.fullmatch(line)
+            if field is None:
+                self.send_error(400, _field_error(line))
+                return False
+            name = field[1].lower().decode()
+            value = field[2].decode("latin-1")
+            if name not in headers:
+                headers[name] = value
+            elif name == "content-length" and headers[name] != value:
+                self.send_error(400, "repeated Content-Length fields differ")
+                return False
+        self.headers = headers
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """Head errors, here and in the stdlib handler (414 request line
+        too long, 501 unknown method): a JSON error, then close."""
+        self.headers = None
+        self._body_read = False             # so _respond closes
+        self._send_error_json(int(code), message or self.responses[code][0])
 
     def handle_expect_100(self) -> bool:
         # send the interim 100 now: the client holds the body back for it
@@ -152,16 +256,20 @@ class _Handler(BaseHTTPRequestHandler):
         """The one response writer: every reply carries Content-Length,
         and a reply that leaves request-body bytes unread closes the
         connection, so those bytes never parse as the next request."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        head = (f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+                f"Server: {_SERVER}\r\n"
+                f"Date: {_http_date(int(time.time()))}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n")
         if retry_after_s is not None:
-            self.send_header("Retry-After", str(retry_after_s))
+            head += f"Retry-After: {retry_after_s}\r\n"
+        headers = self.headers
         if not self._body_read and (
-                "Transfer-Encoding" in self.headers
-                or self.headers.get("Content-Length", "0").strip() != "0"):
-            self.send_header("Connection", "close")   # sets close_connection
-        self.end_headers()
+                headers is None or "transfer-encoding" in headers
+                or headers.get("content-length", "0") != "0"):
+            head += "Connection: close\r\n"
+            self.close_connection = True
+        self.wfile.write(f"{head}\r\n".encode("latin-1"))
         self.wfile.write(body)
 
     def _send_json(self, payload: dict, status: int = 200,
@@ -177,12 +285,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> bytes | None:
         """The request body, framed by Content-Length alone; ``None``
         once framing this server does not accept got its 400."""
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             self._send_error_json(
                 400, "Transfer-Encoding bodies are not supported; "
                      "send Content-Length")
             return None
-        length = self.headers.get("Content-Length", "0").strip()
+        length = self.headers.get("content-length", "0")
         if not (length.isascii() and length.isdigit()):
             # rfile.read(-1) would wait for EOF and never reply
             self._send_error_json(400, f"invalid Content-Length {length!r}")
@@ -327,16 +435,74 @@ def _parse_predict(body: bytes) -> tuple[str, object, np.ndarray]:
     if version is not None and type(version) is not int:
         raise ValueError(f"'version' must be an integer, "
                          f"got {type(version).__name__}")
+    return name, version, _inputs_array(request.get("inputs"))
+
+
+#: JSON names of the values orjson decodes to
+_JSON_NAMES = {str: "a string", type(None): "null", dict: "an object",
+               list: "an array"}
+
+
+def _inputs_array(inputs) -> np.ndarray:
+    """``inputs`` as a float64 array: a rectangular nest of lists of
+    rank 1-4 whose leaves are JSON numbers.
+
+    The leaves are packed with ``struct``, whose ``d`` code converts
+    what ``float()`` would without parsing strings: unlike a NumPy
+    float64 cast it does not read ``"0.5"`` as 0.5 or null as NaN.
+    Booleans among numbers read as 1 and 0; an array of booleans only
+    is rejected (only arrays that start with one are scanned)."""
+    shape = []
+    probe = inputs
+    while type(probe) is list:
+        shape.append(len(probe))
+        if not probe:
+            break
+        probe = probe[0]
+    if not 1 <= len(shape) <= 4:
+        raise ValueError(f"'inputs' must be an array of rank 1-4 of "
+                         f"numbers, got rank {len(shape)}")
+    leaves = [inputs]
+    for size in shape:
+        rows, leaves = leaves, []
+        for row in rows:
+            if type(row) is not list or len(row) != size:
+                raise ValueError("'inputs' is not a rectangular array")
+            leaves.extend(row)
+    array = np.empty(shape)
     try:
-        inputs = np.asarray(request.get("inputs"), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError("'inputs' is not a numeric array") from None
-    if inputs.ndim not in (1, 2, 3, 4):
-        raise ValueError(f"'inputs' has unsupported rank {inputs.ndim}")
-    if not np.isfinite(inputs).all():
-        # a null element becomes NaN, and NaN scores are not JSON
-        raise ValueError("'inputs' has a null or non-finite element")
-    return name, version, inputs
+        struct.pack_into(f"{len(leaves)}d", array, 0, *leaves)
+    except struct.error:
+        bad = next(leaf for leaf in leaves
+                   if type(leaf) not in (int, float, bool))
+        raise ValueError(f"'inputs' holds {_JSON_NAMES[type(bad)]} "
+                         f"where a number belongs") from None
+    if leaves and type(leaves[0]) is bool and all(
+            type(leaf) is bool for leaf in leaves):
+        raise ValueError("'inputs' holds only booleans; send numbers")
+    return array
+
+
+def _field_error(line: bytes) -> str:
+    """What is wrong with a header line that ``_FIELD_LINE`` rejects."""
+    if not line.endswith(b"\n"):
+        return "request head ends before its blank line"
+    if line[:1] in (b" ", b"\t"):
+        return "obs-fold continuation lines are not accepted"
+    name, colon, _ = line.partition(b":")
+    if not colon:
+        return "header line without ':'"
+    if name != name.rstrip(b" \t"):
+        return "whitespace before ':' in a header field"
+    if re.fullmatch(_TOKEN, name) is None:
+        return f"header field name {name[:64]!r} is not a token"
+    return f"control character in header field {name.decode()!r}"
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` value of one wall-clock second, formatted once."""
+    return formatdate(second, usegmt=True)
 
 
 def _encode(payload: dict) -> bytes:

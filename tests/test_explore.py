@@ -4,6 +4,7 @@ design tokens, cross-config stage-cache sharing, serial-vs-parallel
 bit-identity of journals and frontiers, resume semantics, frontier
 export into the serving registry, and the ``repro explore`` CLI."""
 
+import itertools
 import json
 import os
 
@@ -191,6 +192,28 @@ class TestSearchSpace:
         assert len(grid) == 3
         digests = [config.digest() for config in grid]
         assert len(set(digests)) == len(digests)
+
+    def test_grid_dedupes_like_the_config_digest(self):
+        # repeated axis values and pinned axes collapse to the configs a
+        # digest dedupe keeps, in first-seen order
+        space = tiny_space(designs=("conventional", "asm1", "ladder"),
+                           seeds=(1, 0, 1), bits=(None, 8, None),
+                           constraint_modes=("nearest", "greedy"),
+                           qualities=(0.9, 0.99, 0.9))
+        seen, expected = set(), []
+        for design in space.designs:
+            for bits, seed, mode, quality in itertools.product(
+                    space.bits, space.seeds, space.constraint_modes,
+                    space.qualities):
+                config = space.candidate(
+                    design, bits, space.budgets[0], seed,
+                    quality if design == "ladder" else 0.9,
+                    mode if design != "conventional" else "nearest")
+                if config.digest() not in seen:
+                    seen.add(config.digest())
+                    expected.append(config)
+        assert space.grid() == tuple(expected)
+        assert len(expected) == 1 * 2 * 2 + 2 * 2 * 2 + 2 * 2 * 2 * 2
 
     def test_grid_ladder_keeps_quality_axis(self):
         space = tiny_space(designs=("ladder",), qualities=(0.99, 0.9))

@@ -1,10 +1,12 @@
 """Tests for the serving stack: artifacts, compiled models, registry,
 micro-batching and the HTTP front end."""
 
+import email.utils
 import http.client
 import json
 import os
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -14,14 +16,16 @@ import urllib.request
 import zipfile
 from concurrent.futures import TimeoutError as ResultTimeoutError
 from decimal import Decimal, localcontext
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
+import repro
 from repro import obs
 from repro.asm.alphabet import ALPHA_1, ALPHA_2
 from repro.asm.constraints import WeightConstrainer
@@ -47,7 +51,7 @@ from repro.serving.artifact import (
     _manifest_digest,
     save_artifact,
 )
-from repro.serving.server import _encode, _parse_predict
+from repro.serving.server import _encode, _http_date, _parse_predict
 
 RNG = np.random.default_rng(7)
 
@@ -946,6 +950,11 @@ HOSTILE_BODIES = {
     "list-model": b'{"model": ["digits"], "inputs": [0.0]}',
     "list-version": _one_sample_body(b"0.0").replace(
         b'"inputs"', b'"version": [1], "inputs"'),
+    # a float64 cast reads these as 0.5, 7.0 and 1.0/0.0 and answers 200
+    "numeric-string": _one_sample_body(b'"0.5"'),
+    "padded-string": _one_sample_body(b'" 7 "'),
+    "all-booleans": (b'{"model": "digits", "inputs": ['
+                     + b"true, " * 1023 + b"false]}"),
 }
 
 
@@ -1199,6 +1208,263 @@ class TestConnections:
 
 
 # ----------------------------------------------------------------------
+# the request head: strict RFC 9112 fields, stdlib limits, JSON errors
+# ----------------------------------------------------------------------
+_HEAD_INPUT = np.random.default_rng(11).uniform(-1.0, 1.0, size=(1, 1024))
+_HEAD_BODY = json.dumps({"model": "digits",
+                         "inputs": _HEAD_INPUT[0].tolist()}).encode()
+_HEAD_LENGTH = str(len(_HEAD_BODY)).encode()
+
+
+def _predict_head(*fields: bytes,
+                  line: bytes = b"POST /predict HTTP/1.1") -> bytes:
+    """A raw request: *line*, ``Host`` and *fields*, then a valid
+    one-sample ``/predict`` body."""
+    return (line + b"\r\nHost: x\r\n"
+            + b"".join(field + b"\r\n" for field in fields)
+            + b"\r\n" + _HEAD_BODY)
+
+
+#: heads the lenient stdlib parser misread (a 200, a hang or an HTML
+#: reply): each must get a JSON 4xx/505 and a closed connection
+HOSTILE_HEADS = {
+    "differing-content-lengths": (_predict_head(
+        b"Content-Length: " + _HEAD_LENGTH, b"Content-Length: 5"), 400),
+    "space-before-colon-transfer-encoding": (_predict_head(
+        b"Transfer-Encoding : chunked",
+        b"Content-Length: " + _HEAD_LENGTH), 400),
+    "line-without-colon": (_predict_head(
+        b"X-No-Colon", b"Content-Length: " + _HEAD_LENGTH,
+        b"Connection: close"), 400),
+    "space-before-colon-content-length": (_predict_head(
+        b"Content-Length : " + _HEAD_LENGTH), 400),
+    "obs-fold": (_predict_head(
+        b"X-Folded: a", b" b", b"Content-Length: " + _HEAD_LENGTH), 400),
+    "http-2-request-line": (_predict_head(
+        b"Content-Length: " + _HEAD_LENGTH,
+        line=b"POST /predict HTTP/2.0"), 505),
+    "101-fields": (_predict_head(                 # with Host
+        *(b"X-Field-%d: v" % index for index in range(99)),
+        b"Content-Length: " + _HEAD_LENGTH), 431),
+    "65537-byte-line": (_predict_head(
+        b"X-Long: " + b"a" * (65537 - len(b"X-Long: \r\n")),
+        b"Content-Length: " + _HEAD_LENGTH), 431),
+}
+
+
+class TestRequestHead:
+    @pytest.mark.parametrize("raw, status", HOSTILE_HEADS.values(),
+                             ids=HOSTILE_HEADS.keys())
+    def test_hostile_head_is_json_error_and_closes(self, running_server,
+                                                   raw, status):
+        base, quantized = running_server
+        # _exchange reads to EOF: a connection left open fails it
+        head, _, body = _exchange(base, raw).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), head
+        assert b"\r\nConnection: close" in head
+        assert b"\r\nContent-Type: application/json" in head
+        assert orjson.loads(body)["error"]
+        # a new connection still gets a valid predict answered
+        conn = _connection(base)
+        try:
+            x = sample_batch(2)
+            response, payload = _predict(conn, x)
+            assert response.status == 200
+            assert np.array_equal(np.asarray(payload["scores"]),
+                                  quantized.forward(x))
+        finally:
+            conn.close()
+
+    def test_limits_are_inclusive(self, running_server):
+        # 100 fields and a 65,536-byte line (CRLF included) are read
+        base, _ = running_server
+        # Host + 96 + X-Long + Content-Length + Connection = 100 fields
+        fields = [b"X-Field-%d: v" % index for index in range(96)]
+        fields.append(b"X-Long: " + b"a" * (65536 - len(b"X-Long: \r\n")))
+        reply = _exchange(base, _predict_head(
+            *fields, b"Content-Length: " + _HEAD_LENGTH,
+            b"Connection: close"))
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+    def test_repeated_equal_content_lengths_are_one(self, running_server):
+        base, quantized = running_server
+        reply = _exchange(base, _predict_head(
+            b"Content-Length: " + _HEAD_LENGTH,
+            b"content-length:" + _HEAD_LENGTH + b" \t",
+            b"Connection: close"))
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        scores = orjson.loads(reply.partition(b"\r\n\r\n")[2])["scores"]
+        assert np.array_equal(np.asarray(scores),
+                              quantized.forward(_HEAD_INPUT))
+
+    @pytest.mark.parametrize("line, status", [
+        (b"GET /health", 400),                  # HTTP/0.9
+        (b"GET  /health HTTP/1.1", 400),        # two spaces
+        (b"GET /health HTTP/1.1 x", 400),
+        (b"GET /health HTTPS/1.1", 400),
+        (b"GET /health HTTP/0.9", 400),
+        (b"GET /health HTTP/3.0", 505),
+        (b"PATCH /health HTTP/1.1", 501),
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1", 414),
+    ], ids=["http-0.9", "two-spaces", "extra-word", "https",
+            "http-0.9-version", "http-3.0", "unknown-method",
+            "65537-byte-line"])
+    def test_bad_request_line_is_json_error(self, running_server, line,
+                                            status):
+        base, _ = running_server
+        head, _, body = _exchange(
+            base, line + b"\r\nHost: x\r\n\r\n").partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), head
+        assert b"\r\nConnection: close" in head
+        assert orjson.loads(body)["error"]
+
+    @pytest.mark.parametrize("line", [
+        b"GET /" + b"a" * 65536 + b" HTTP/1.1",        # stdlib path
+        b"PATCH /health HTTP/1.1",                      # stdlib path
+        b"GET /health HTTP/2.0",
+    ], ids=["414", "501", "505"])
+    def test_head_error_after_kept_alive_request_closes(self, running_server,
+                                                        line):
+        # the first request read its body; the second head still closes
+        base, _ = running_server
+        reply = _exchange(base, _predict_head(
+            b"Content-Length: " + _HEAD_LENGTH)
+            + line + b"\r\nHost: x\r\n\r\n")
+        # exactly two replies: nothing after the error parses as a request
+        empty, first, second = reply.split(b"HTTP/1.1 ")
+        assert not empty
+        assert first.startswith(b"200 ") and b"Connection:" not in first
+        assert second[:3] in (b"414", b"501", b"505")
+        assert b"\r\nConnection: close" in second
+
+    @pytest.mark.parametrize("field, problem", [
+        (b"Content-Length : 2", "whitespace before ':'"),
+        (b"X-No-Colon", "without ':'"),
+        (b"X(y): 1", "not a token"),
+        (b"X-Y: a\x00b", "control character"),
+        (b" X-Y: 1", "obs-fold"),
+    ])
+    def test_field_error_names_the_problem(self, running_server, field,
+                                           problem):
+        base, _ = running_server
+        reply = _exchange(base, b"GET /health HTTP/1.1\r\nHost: x\r\n"
+                                + field + b"\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert problem in orjson.loads(
+            reply.partition(b"\r\n\r\n")[2])["error"]
+
+    def test_head_is_read_without_http_client(self, running_server,
+                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("http.client.parse_headers was called")
+
+        # the server runs in this process; the client reads raw bytes
+        monkeypatch.setattr(http.client, "parse_headers", refuse)
+        base, quantized = running_server
+        reply = _exchange(base, _predict_head(
+            b"Content-Length: " + _HEAD_LENGTH, b"Connection: close"))
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        scores = orjson.loads(reply.partition(b"\r\n\r\n")[2])["scores"]
+        assert np.array_equal(np.asarray(scores),
+                              quantized.forward(_HEAD_INPUT))
+
+    def test_reply_head_keeps_the_stdlib_layout(self, running_server):
+        base, _ = running_server
+        before = int(time.time())
+        reply = _exchange(base, b"GET /health HTTP/1.1\r\nHost: x\r\n"
+                                b"Connection: close\r\n\r\n")
+        after = int(time.time())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        dates = {email.utils.formatdate(second, usegmt=True)
+                 for second in range(before, after + 1)}
+        assert lines[2].removeprefix("Date: ") in dates
+        assert lines[:2] + lines[3:] == [
+            "HTTP/1.1 200 OK",
+            "Server: " + BaseHTTPRequestHandler.version_string(
+                BaseHTTPRequestHandler),
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+
+    def test_date_is_formatted_once_per_second(self):
+        second = 1_700_000_000
+        assert _http_date(second) == email.utils.formatdate(
+            second + 0.999, usegmt=True)
+        assert _http_date(second) is _http_date(second)
+        assert _http_date(second + 1) == "Tue, 14 Nov 2023 22:13:21 GMT"
+
+
+class TestParsePredict:
+    @pytest.mark.parametrize("inputs, problem", [
+        (b'["0.5", true, " 7 "]', "holds a string"),
+        (b'[[1.0, "2"]]', "holds a string"),
+        (b'[true, null, 1.0]', "holds null"),
+        (b'[{"x": 1}]', "holds an object"),
+        (b"[[1.0, [2.0]]]", "holds an array"),
+        (b"[true, false]", "only booleans"),
+        (b"[[true], [false]]", "only booleans"),
+        (b"[[1.0, 2.0], [3.0]]", "not a rectangular"),
+        (b"[[1.0], 2.0]", "not a rectangular"),
+        (b"null", "rank 0"),
+        (b'"0.5"', "rank 0"),
+        (b"[[[[[1.0]]]]]", "rank 5"),
+    ])
+    def test_non_numbers_are_rejected(self, inputs, problem):
+        with pytest.raises(ValueError, match=problem):
+            _parse_predict(b'{"model": "m", "inputs": ' + inputs + b"}")
+
+    def test_booleans_among_numbers_read_as_one_and_zero(self):
+        # documented in docs/robustness.md: NumPy's dtype is float64 here
+        inputs = _parse_predict(b'{"model": "m", "inputs": [true, 0.5, '
+                                b'false, 2]}')[2]
+        assert inputs.dtype == np.float64
+        assert inputs.tolist() == [1.0, 0.5, 0.0, 2.0]
+
+    @pytest.mark.parametrize("inputs, shape", [
+        (b"[]", (0,)), (b"[[], []]", (2, 0)), (b"[[[[0.5]]]]", (1, 1, 1, 1)),
+        (b"[[[1, 2]], [[3, 4]]]", (2, 1, 2)),
+    ])
+    def test_shapes(self, inputs, shape):
+        body = b'{"model": "m", "inputs": ' + inputs + b"}"
+        decoded = _parse_predict(body)[2]
+        assert decoded.shape == shape and decoded.dtype == np.float64
+        assert decoded.tobytes() == np.asarray(
+            json.loads(body)["inputs"], dtype=np.float64).tobytes()
+
+    def test_integers_decode_to_doubles(self):
+        inputs = _parse_predict(b'{"model": "m", "inputs": '
+                                b'[[9007199254740993, -1], [0, 3]]}')[2]
+        assert inputs.dtype == np.float64
+        assert inputs.tolist() == [[2.0**53, -1.0], [0.0, 3.0]]
+
+
+class TestLazyPackage:
+    def test_artifact_and_registry_load_no_http_stack(self):
+        # repro run's export and serve-check stages import only these
+        code = ("import sys, repro.serving.artifact, repro.serving.registry\n"
+                "print(sorted(set(sys.modules) & {'repro.serving.server', "
+                "'repro.serving.batching', 'http.server', 'orjson'}))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60,
+                                check=True)
+        assert result.stdout.strip() == "[]"
+
+    def test_exports_resolve_lazily(self):
+        import repro.serving as serving
+
+        for name in serving.__all__:
+            assert getattr(serving, name) is not None
+        assert serving.create_server is create_server
+        assert set(serving.__all__) <= set(dir(serving))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            serving.no_such_name  # noqa: B018
+
+
+# ----------------------------------------------------------------------
 # the JSON codec: exact decode of every finite double, exact encode
 # ----------------------------------------------------------------------
 _EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
@@ -1233,6 +1499,17 @@ class TestJsonCodec:
                 + "]}").encode()
         expected = np.asarray(json.loads(body)["inputs"], dtype=np.float64)
         assert _parse_predict(body)[2].tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4,
+                                           min_side=0, max_side=5),
+                  elements=_doubles))
+    def test_nested_inputs_decode_like_a_float64_cast(self, inputs):
+        body = json.dumps({"model": "m", "inputs": inputs.tolist()}).encode()
+        expected = np.asarray(json.loads(body)["inputs"], dtype=np.float64)
+        decoded = _parse_predict(body)[2]
+        assert decoded.shape == expected.shape
+        assert decoded.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 8),
